@@ -24,7 +24,6 @@ import shutil
 import struct
 import time
 import zipfile
-from contextlib import contextmanager
 from pathlib import Path
 
 MIB = 1024 * 1024
@@ -215,20 +214,7 @@ def _dex(rng: random.Random, vocab, n_classes: int, methods: int, target_bytes: 
         builder.add_filler_strings(
             f"res/string/v{tag}_{i:06d}_" + "x" * 64 for i in range(gap // 100)
         )
-    with _ascii_mutf8(synth):
-        return builder.build(), builder.expected_invokes
-
-
-@contextmanager
-def _ascii_mutf8(synth):
-    """DexBuilder encodes pool strings one character at a time; an ASCII
-    string without NUL is its own MUTF-8 encoding, so skip the loop."""
-    slow = synth._encode_mutf8
-    synth._encode_mutf8 = lambda s: s.encode("ascii") if s.isascii() and "\0" not in s else slow(s)
-    try:
-        yield
-    finally:
-        synth._encode_mutf8 = slow
+    return builder.build(), builder.expected_invokes
 
 
 def _zip_bytes(entries: dict[str, bytes], level: int = 6) -> bytes:

@@ -3,10 +3,11 @@
 
     python3 perfbench/run.py --workload scan-large --seed 1 --seconds 20 --trace 0
     python3 perfbench/run.py --workload all --seed 1       # every workload, one table
-    python3 perfbench/run.py --print-benchmark-json        # BENCHMARK.json from spec.py
 
 Run it from anywhere; it benchmarks the sources in ``src/`` next to this
-directory and fails (exit 2, no result) when they are missing. Inputs are
+directory and fails (exit 2, no result) when they are missing. Workload
+names, metric names and units, and the default ``--seconds`` come from
+``BENCHMARK.json`` next to that directory. Inputs are
 made from ``--seed`` and cached under ``.perfbench_cache/``; the time to make
 them is reported as ``gen_s`` and never inside a metric. Each workload runs
 in fresh processes: ``setup_s`` is the median of several fresh start-ups,
@@ -38,10 +39,25 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(HERE))
 
 import inputs  # noqa: E402
-import spec  # noqa: E402
 
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
 MIB = 1024 * 1024
 P90_TAIL = 10  # samples that must lie beyond the 90th percentile to report it
+SETUP_RUNS = {"full": 9, "smoke": 1}  # fresh set-up processes timed per workload
+REPORT_UNITS = {
+    "setup_s": "s",
+    "scan_apk_p50_s": "s",
+    "scan_apk_p90_s": "s",
+    "scan_dex_mib_per_s": "MiB/s",
+    "extract_apks_per_s": "rows/s",
+    "train_s": "s",
+    "eval_random_s": "s",
+    "ransomware_tpr_at_1pct_fpr": "ratio",
+    "cv_accuracy": "ratio",
+    "peak_rss_mib": "MiB",
+    "error_rate": "ratio",
+}
 
 
 class BenchError(Exception):
@@ -99,7 +115,8 @@ def run_workload(workload: str, args) -> dict:
     # of the machine's slow and fast phases
     setup_cmd = _worker_cmd("setup", workload, inputs_dir, oracle)
     _time_setup(setup_cmd)  # warm-up: page cache and bytecode cache
-    setup_times = [_time_setup(setup_cmd) for _ in range(args.setup_repeats // 2)]
+    setup_runs = SETUP_RUNS[args.scale]
+    setup_times = [_time_setup(setup_cmd) for _ in range(setup_runs // 2)]
 
     cmd = _worker_cmd("run", workload, inputs_dir, oracle) + [
         "--seconds", str(args.seconds), "--seed", str(args.seed), "--trace", str(args.trace)]
@@ -115,7 +132,7 @@ def run_workload(workload: str, args) -> dict:
     if proc.returncode != 0 or not lines:
         raise BenchError(f"{workload}: worker failed ({proc.returncode}): {proc.stderr.strip()[-3000:]}")
     res = json.loads(lines[-1])
-    setup_times += [_time_setup(setup_cmd) for _ in range(args.setup_repeats - len(setup_times))]
+    setup_times += [_time_setup(setup_cmd) for _ in range(setup_runs - len(setup_times))]
 
     setup_s = statistics.median(setup_times)
     report = {
@@ -127,24 +144,22 @@ def run_workload(workload: str, args) -> dict:
     if args.trace:
         metrics = res["per_layer"]
     else:
-        lat = res["latencies"]
-        if not lat:
-            raise BenchError(f"{workload}: no operation succeeded: {res['errors']}")
+        lat = res["latencies"]  # empty only when every operation failed
         metrics = {
             "setup_s": setup_s,
-            "items_per_s": res["items"] / res["busy_s"],
+            "items_per_s": res["items"] / res["busy_s"] if lat else 0.0,
             "peak_rss_mib": res["peak_rss_mib"],
         }
-        if workload == "scan-large":
+        if workload == "extract-corpus":
+            report["extract_apks_per_s"] = metrics["items_per_s"]
+        elif lat and workload == "scan-large":
             report["scan_apk_p50_s"] = statistics.median(lat)
             if len(lat) * 0.1 >= P90_TAIL:
                 report["scan_apk_p90_s"] = _quantile(lat, 0.9)
             report["scan_dex_mib_per_s"] = (
                 res["rounds"] * extra["dex_bytes_per_round"] / MIB / res["busy_s"]
             )
-        elif workload == "extract-corpus":
-            report["extract_apks_per_s"] = metrics["items_per_s"]
-        else:
+        elif lat:
             report["train_s"] = statistics.median(extra["train_s"])
             report["eval_random_s"] = statistics.median(extra["eval_s"])
     if workload == "train-demo" and "cv_accuracy" in extra:
@@ -180,9 +195,7 @@ def run_workload(workload: str, args) -> dict:
 
 
 def _units(trace: int) -> dict[str, str]:
-    if trace:
-        return {m["name"]: m["unit"] for m in spec.per_layer()}
-    return {m["name"]: m["unit"] for m in spec.END_TO_END}
+    return {m["name"]: m["unit"] for m in BENCHMARK["per_layer" if trace else "end_to_end"]}
 
 
 def _print_table(title: str, values: dict, units: dict) -> None:
@@ -193,28 +206,21 @@ def _print_table(title: str, values: dict, units: dict) -> None:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--workload", choices=[*spec.ALL, "all"])
+    p.add_argument("--workload", choices=[*WORKLOADS, "all"], required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--seconds", type=float, default=spec.RUN_SECONDS)
+    p.add_argument("--seconds", type=float, default=BENCHMARK["run_seconds"])
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--scale", choices=sorted(inputs.SCAN_APKS), default="full",
                    help="input sizes; 'smoke' is for the benchmark's own tests")
-    p.add_argument("--setup-repeats", type=int, default=9)
     p.add_argument("--cache-dir", type=Path, default=ROOT / ".perfbench_cache")
-    p.add_argument("--print-benchmark-json", action="store_true")
     args = p.parse_args(argv)
 
-    if args.print_benchmark_json:
-        print(json.dumps(spec.benchmark_json(), indent=2))
-        return 0
-    if args.workload is None:
-        p.error("--workload is required")
     if not (SRC / "apksift" / "__init__.py").is_file():
         print(f"error: no apksift sources at {SRC / 'apksift'}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
 
-    names = spec.ALL if args.workload == "all" else (args.workload,)
+    names = WORKLOADS if args.workload == "all" else [args.workload]
     results = []
     try:
         for name in names:
@@ -223,10 +229,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    report_units = {m["name"]: m["unit"] for m in spec.REPORT_METRICS}
     for r in results:
         head = f"{r['workload']} · seed {args.seed} · {args.seconds:g} s · trace {args.trace}"
-        _print_table(f"{head} · report", r["report"], report_units)
+        _print_table(f"{head} · report", r["report"], REPORT_UNITS)
         _print_table(f"{head} · metrics", r["metrics"], _units(args.trace))
         for err in r["errors"]:
             print(f"  FAILED: {err}")
