@@ -12,7 +12,8 @@ made from ``--seed`` and cached under ``.perfbench_cache/``; the time to make
 them is reported as ``gen_s`` and never inside a metric. Each workload runs
 in fresh processes: ``setup_s`` is the median of several fresh start-ups,
 and one more process runs the workload, closed loop with one operation
-outstanding, for ``--seconds``. Every output is checked against the
+outstanding, for ``--seconds``. Set-up time and throughput are scaled to
+the reference machine speed of ``speed.py``. Every output is checked against the
 generator's oracle; any mismatch counts in ``failed`` and the exit code is 1.
 
 The last line of stdout is one JSON object: ``correct``, ``attempted``,
@@ -39,6 +40,7 @@ SRC = ROOT / "src"
 sys.path.insert(0, str(HERE))
 
 import inputs  # noqa: E402
+import speed  # noqa: E402
 
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
@@ -88,8 +90,10 @@ def _worker_cmd(mode: str, workload: str, inputs_dir: Path, oracle: dict) -> lis
     return cmd
 
 
-def _time_setup(cmd: list[str]) -> float:
-    """Seconds from process start to the worker's ``ready`` line."""
+def _time_setup(cmd: list[str]) -> tuple[float, float]:
+    """Seconds from process start to the worker's ``ready`` line, and the
+    start-up probe's seconds just before it."""
+    probe_s = speed.startup_probe()
     t0 = perf_counter()
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     line = proc.stdout.readline()
@@ -97,7 +101,7 @@ def _time_setup(cmd: list[str]) -> float:
     _, err = proc.communicate(timeout=120)
     if line.strip() != "ready" or proc.returncode != 0:
         raise BenchError(f"set-up process failed ({proc.returncode}): {err.strip()[-2000:]}")
-    return elapsed
+    return elapsed, probe_s
 
 
 def _quantile(values: list[float], q: float) -> float:
@@ -134,7 +138,9 @@ def run_workload(workload: str, args) -> dict:
     res = json.loads(lines[-1])
     setup_times += [_time_setup(setup_cmd) for _ in range(setup_runs - len(setup_times))]
 
-    setup_s = statistics.median(setup_times)
+    setup_s = statistics.median(
+        speed.at_ref_speed(wall, probe_s, speed.REF_STARTUP_S) for wall, probe_s in setup_times
+    )
     report = {
         "setup_s": setup_s,
         "peak_rss_mib": res["peak_rss_mib"],
@@ -147,11 +153,11 @@ def run_workload(workload: str, args) -> dict:
         lat = res["latencies"]  # empty only when every operation failed
         metrics = {
             "setup_s": setup_s,
-            "items_per_s": res["items"] / res["busy_s"] if lat else 0.0,
+            "items_per_s": res["items"] / res["ref_busy_s"] if lat else 0.0,
             "peak_rss_mib": res["peak_rss_mib"],
         }
         if workload == "extract-corpus":
-            report["extract_apks_per_s"] = metrics["items_per_s"]
+            report["extract_apks_per_s"] = res["items"] / res["busy_s"] if lat else 0.0
         elif lat and workload == "scan-large":
             report["scan_apk_p50_s"] = statistics.median(lat)
             if len(lat) * 0.1 >= P90_TAIL:
@@ -181,7 +187,11 @@ def run_workload(workload: str, args) -> dict:
     }
     detail = {k: res[k] for k in res if k not in ("latencies", "per_layer", "extra", "errors")}
     detail["ops"] = len(res.get("latencies", ())) or None
-    detail["setup_runs_s"] = setup_times
+    detail["setup_runs_s"] = [wall for wall, _ in setup_times]
+    detail["startup_probe_s"] = [probe_s for _, probe_s in setup_times]
+    if res.get("ref_busy_s"):
+        # the mean probe time over the run's rounds
+        detail["probe_s"] = speed.REF_PROBE_S * res["busy_s"] / res["ref_busy_s"]
     return {
         "workload": workload,
         "attempted": res["attempted"],

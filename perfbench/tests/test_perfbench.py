@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -18,6 +19,7 @@ ROOT = BENCH.parent
 sys.path.insert(0, str(BENCH))
 
 import run  # noqa: E402
+import speed  # noqa: E402
 
 BENCHMARK_JSON = run.BENCHMARK
 # report metrics each workload prints besides setup_s, peak_rss_mib and error_rate
@@ -113,3 +115,15 @@ def test_without_sources_exits_nonzero(tmp_path):
     )
     assert proc.returncode != 0
     assert result is None
+
+
+def test_sampler_scales_to_reference_speed():
+    sampler = speed.Sampler()
+    sampler.start()
+    t0 = perf_counter()
+    while perf_counter() - t0 < 0.3:
+        sum(range(1000))
+    probe_s = sampler.stop()
+    assert len(sampler.times) >= 4 and probe_s > 0
+    assert speed.at_ref_speed(2.0, speed.REF_PROBE_S) == 2.0
+    assert speed.at_ref_speed(2.0, 2 * speed.REF_PROBE_S) == 1.0

@@ -7,8 +7,9 @@
 ``ready`` and exits: run.py times it from process start to that line.
 ``run`` does the same set-up, then runs whole rounds of the workload until
 ``--seconds`` have passed, checks every output against the oracle, and
-prints one JSON line. With ``--trace 1`` it alternates untraced and traced
-rounds and reports per-layer numbers from the traced ones.
+prints one JSON line; ``speed.Sampler`` samples the machine's speed through
+each round. With ``--trace 1`` it alternates untraced and traced rounds and
+reports per-layer numbers from the traced ones.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import statistics
 import sys
 from pathlib import Path
 from time import perf_counter
+
+import speed
 
 TPR_GATE = 0.95
 TPR_KEY = "ransomware_vs_benign:tpr_at_0.01_fpr"
@@ -210,15 +213,19 @@ WORKLOADS = {"scan-large": ScanLarge, "extract-corpus": ExtractCorpus, "train-de
 
 
 def measure(wl: Workload, tally: Tally, seconds: float) -> dict:
-    latencies, items, busy, rounds = [], 0, 0.0, 0
+    latencies, items, busy, ref_busy, rounds = [], 0, 0.0, 0.0, 0
+    sampler = speed.Sampler()
     start = perf_counter()
     while rounds < wl.min_rounds or perf_counter() - start < seconds:
+        sampler.start()
         lat, n, b = wl.round(tally)
+        ref_busy += speed.at_ref_speed(b, sampler.stop())
         latencies += lat
         items += n
         busy += b
         rounds += 1
-    return {"latencies": latencies, "items": items, "busy_s": busy, "rounds": rounds}
+    return {"latencies": latencies, "items": items, "busy_s": busy, "ref_busy_s": ref_busy,
+            "rounds": rounds}
 
 
 # -- traced run --------------------------------------------------------------------
