@@ -1,0 +1,224 @@
+"""Golden outputs of every CLI subcommand on a small seeded corpus.
+
+Each subcommand runs once through ``main``. The tests pin its exit code and
+its stdout (with the temp directory written as ``<tmp>``), plus the sha256
+of the model file, the features CSV and every report JSON (with its
+``runtime_seconds`` line removed). A change that keeps behaviour the same
+leaves every literal below unchanged; the floats behind the digests are
+computed on the host, so a different libm or numpy may move them.
+"""
+
+import hashlib
+import io
+import re
+from contextlib import redirect_stdout
+from datetime import date
+
+import pytest
+
+from apksift.cli import main
+from apksift.reference import Granularity, save_reference
+from apksift.synth import (
+    EXPERIMENT_VOCAB,
+    TemporalBinSpec,
+    dex_from_invokes,
+    generate_corpus,
+    generate_temporal_corpus,
+    reference_from_vocab,
+    temporal_vocab,
+    write_apk,
+    write_corpus,
+)
+
+TEMPORAL_BINS = (
+    TemporalBinSpec("jan-sep", date(2017, 1, 1), date(2017, 9, 30), 12, 0.15),
+    TemporalBinSpec("oct", date(2017, 10, 1), date(2017, 10, 31), 12, 0.35),
+)
+
+GOLDEN_STDOUT = {
+    "eval-obfuscation": (
+        0,
+        "class-encryption\tbaseline\tdetection_rate=0.0000\n"
+        "report written to <tmp>/obfuscation/obfuscation_class_encryption_baseline.json\n"
+        "class-encryption\tplus_one\tdetection_rate=1.0000\n"
+        "report written to <tmp>/obfuscation/obfuscation_class_encryption_plus_one.json\n"
+    ),
+    "eval-random": (
+        0,
+        "malware_vs_benign:auc\tmean=1.0000\tstd=0.0000\n"
+        "malware_vs_benign:tpr_at_0.01_fpr\tmean=1.0000\tstd=0.0000\n"
+        "ransomware_vs_benign:auc\tmean=0.9988\tstd=0.0018\n"
+        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9500\tstd=0.0707\n"
+        "report written to <tmp>/random/random_split_report.json\n"
+    ),
+    "eval-temporal": (
+        0,
+        "bin=jan-sep\tn=12\tdetection_rate=0.9167\n"
+        "bin=oct\tn=12\tdetection_rate=0.6667\n"
+        "bin=dec\tn=0\tdetection_rate=n/a (empty)\n"
+        "report written to <tmp>/temporal-out/temporal_report.json\n"
+    ),
+    "extract": (
+        0,
+        "wrote 120 vectors to <tmp>/features.csv\n"
+    ),
+    "model-info": (
+        0,
+        "format_version\t1\n"
+        "tool_version\t0.1.0\n"
+        "classes\ttrusted,malware,ransomware\n"
+        "reference_fingerprint\tea0efc1f170e80a8\n"
+        "feature_dim\t12\n"
+        "n_trees\t5\n"
+        "max_depth\tNone\n"
+        "min_samples_leaf\t1\n"
+        "features_per_split\tNone\n"
+        "seed\t7\n"
+        "total_nodes\t85\n"
+    ),
+    "rank": (
+        0,
+        "rank\tfeature\tmean_information_gain\n"
+        "1\tandroid/app/admin/DevicePolicyManager\t0.800721\n"
+        "2\tandroid/telephony/TelephonyManager\t0.629267\n"
+        "3\tjavax/crypto/Cipher\t0.623638\n"
+        "4\tjavax/crypto/CipherOutputStream\t0.612040\n"
+        "5\tandroid/telephony/SmsManager\t0.554963\n"
+        "6\tjava/io/File\t0.510710\n"
+        "7\tjava/io/FileInputStream\t0.410489\n"
+        "8\tandroid/app/Activity\t0.383025\n"
+    ),
+    "scan-apk": (
+        11,
+        "<tmp>/r0000.apk\transomware\ttrusted=0.0000\tmalware=0.2000\transomware=0.8000\n"
+        "  feature\tandroid/telephony\tcount=3\tmodel_splits=7\n"
+        "  feature\tjavax/crypto\tcount=5\tmodel_splits=6\n"
+        "  feature\tandroid/app\tcount=1\tmodel_splits=5\n"
+        "  feature\tandroid/widget\tcount=2\tmodel_splits=5\n"
+        "  feature\tjava/io\tcount=14\tmodel_splits=5\n"
+    ),
+    "scan-fixture": (
+        10,
+        "<tmp>/corpus/t0000.txt\ttrusted\ttrusted=0.8000\tmalware=0.0000\transomware=0.2000\n"
+        "  feature\tjavax/crypto\tcount=1\tmodel_splits=6\n"
+        "  feature\tandroid/app\tcount=2\tmodel_splits=5\n"
+        "  feature\tandroid/widget\tcount=8\tmodel_splits=5\n"
+        "<tmp>/corpus/m0000.txt\tmalware\ttrusted=0.0000\tmalware=1.0000\transomware=0.0000\n"
+        "  feature\tandroid/telephony\tcount=5\tmodel_splits=7\n"
+        "  feature\tjavax/crypto\tcount=4\tmodel_splits=6\n"
+        "  feature\tandroid/app\tcount=1\tmodel_splits=5\n"
+    ),
+    "train": (
+        0,
+        "n_trees=5\tcv_accuracy=0.9833\n"
+        "n_trees=10\tcv_accuracy=0.9833\n"
+        "chosen n_trees=5\n"
+        "model written to <tmp>/model.json (fingerprint ea0efc1f170e80a8)\n"
+    ),
+}
+
+GOLDEN_SHA256 = {
+    "features.csv": "c9d8ee0109a86d71da3fd0bb6e8d679bf2d12c4dac3d08cf950154f967bdbaa5",
+    "model.json": "f1c17ff8b33ade37dba6b06b03872989071da453788efab75ee4d32639b90889",
+    "obfuscation/obfuscation_class_encryption_baseline.json": (
+        "3955f8d5e615e3261269bae728a66d147617ce6ba3ed6c2907f2507ce6189094"
+    ),
+    "obfuscation/obfuscation_class_encryption_plus_one.json": (
+        "064562b6079f82b695ef06263867e40a3643d71c0ec04ad8ac441aa2f0a169d7"
+    ),
+    "random/random_split_report.json": (
+        "7597dbb637040e042d2ee1d580f1800bd70b1137b9f8311412f95bb13035d2be"
+    ),
+    "temporal-out/temporal_report.json": (
+        "8e92d9944bef4f70aa4fc24cdc9f8d7a57ae7cfe3adbad9f29e04046d82199d5"
+    ),
+}
+
+
+def run_all(root):
+    """Run every subcommand once under ``root``; return (exit code, stdout) per run."""
+    samples = generate_corpus(n_per_class=40, seed=7)
+    manifest = write_corpus(root / "corpus", samples)
+    temporal = generate_temporal_corpus(
+        seed=7, n_trusted=40, n_malware=24, n_train_ransomware=30, bins=TEMPORAL_BINS
+    )
+    temporal_manifest = write_corpus(root / "temporal", temporal)
+    ref = {}
+    for g in Granularity:
+        ref[g] = root / f"{g.value}.txt"
+        save_reference(reference_from_vocab(EXPERIMENT_VOCAB, g), ref[g])
+    temporal_ref = root / "temporal-methods.txt"
+    save_reference(reference_from_vocab(temporal_vocab(), Granularity.Method), temporal_ref)
+    ransomware_apk = root / "r0000.apk"
+    write_apk(ransomware_apk, [dex_from_invokes(list(samples[80].invokes))])
+    model = root / "model.json"
+
+    runs = {}
+
+    def run(name, *argv):
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            rc = main([str(a) for a in argv])
+        runs[name] = (rc, buf.getvalue().replace(str(root), "<tmp>"))
+
+    run("train", "train", "--manifest", manifest, "--reference", ref[Granularity.Package],
+        "--out-model", model, "--grid", "5", "10", "--seed", "7")
+    run("scan-apk", "scan", ransomware_apk, "--model", model,
+        "--reference", ref[Granularity.Package])
+    run("scan-fixture", "scan", root / "corpus" / "t0000.txt", root / "corpus" / "m0000.txt",
+        "--model", model, "--reference", ref[Granularity.Package], "--top", "3")
+    run("extract", "extract", "--manifest", manifest, "--reference", ref[Granularity.Method],
+        "--out-csv", root / "features.csv")
+    run("eval-random", "eval-random", "--manifest", manifest,
+        "--reference", ref[Granularity.Package], "--repeats", "2", "--grid", "5", "10",
+        "--seed", "7", "--out", root / "random")
+    run("eval-temporal", "eval-temporal", "--manifest", temporal_manifest,
+        "--reference", temporal_ref, "--train-cutoff", "2016-12-31",
+        "--bin", "jan-sep:2017-01-01:2017-09-30", "--bin", "oct:2017-10-01:2017-10-31",
+        "--bin", "dec:2017-12-01:2017-12-31", "--n-trees", "15", "--seed", "7",
+        "--out", root / "temporal-out")
+    run("eval-obfuscation", "eval-obfuscation", "--manifest", manifest,
+        "--reference", ref[Granularity.Method], "--kind", "class-encryption", "--plus-one",
+        "--n-trees", "15", "--seed", "7", "--out", root / "obfuscation")
+    run("rank", "rank", "--manifest", manifest, "--reference", ref[Granularity.Class],
+        "--splits", "3", "--top", "8", "--seed", "7")
+    run("model-info", "model-info", "--model", model)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def golden_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    return root, run_all(root)
+
+
+def _file_digest(path) -> str:
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".json" and path.name != "model.json":
+        text = re.sub(r'^  "runtime_seconds": [^\n]*\n', "", text, flags=re.M)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_every_subcommand_is_pinned(golden_run):
+    _, runs = golden_run
+    assert sorted(runs) == sorted(GOLDEN_STDOUT)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_STDOUT))
+def test_exit_code_and_stdout(golden_run, name):
+    _, runs = golden_run
+    assert runs[name] == GOLDEN_STDOUT[name]
+
+
+@pytest.mark.parametrize("relpath", sorted(GOLDEN_SHA256))
+def test_output_file_digest(golden_run, relpath):
+    root, _ = golden_run
+    assert _file_digest(root / relpath) == GOLDEN_SHA256[relpath]
+
+
+def test_every_output_file_is_pinned(golden_run):
+    root, _ = golden_run
+    written = {"model.json", "features.csv"}
+    for sub in ("random", "temporal-out", "obfuscation"):
+        written |= {f"{sub}/{p.name}" for p in (root / sub).iterdir()}
+    assert written == set(GOLDEN_SHA256)
