@@ -43,14 +43,17 @@ from .evaluation import (
     load_labeled_dataset,
     obfuscation_eval,
     random_split_eval,
+    split_dataset,
     temporal_eval,
 )
 from .features import extract_from_sample, write_features_csv
 from .forest import (
-    CLASS_ORDER,
+    MODEL_FORMAT_VERSION,
     Hyperparams,
     Label,
+    best_grid_value,
     cv_accuracy_table,
+    label_of,
     load_model,
     predict_proba,
     rank_features,
@@ -65,7 +68,7 @@ from .reference import (
     load_reference,
     load_reference_auto,
 )
-from .invokes import loads_invoke_list
+from .invokes import load_invoke_list_text
 
 logger = logging.getLogger("apksift")
 
@@ -206,12 +209,7 @@ def cmd_scan(args) -> int:
     for path in args.apk:
         fv = extract_from_sample(path, ref, strict=args.strict_dex)
         probs = predict_proba(model, fv)
-        best = 0
-        if probs[1] > probs[best]:
-            best = 1
-        if probs[2] > probs[best]:
-            best = 2
-        label = CLASS_ORDER[best]
+        label = label_of(probs)
         worst = max(worst, EXIT_BY_LABEL[label])
         print(
             f"{path}\t{label.value}\t"
@@ -252,11 +250,9 @@ def cmd_train(args) -> int:
     if sum(1 for c in dataset.class_counts() if c > 0) < 2:
         raise SingleClassData(f"manifest class counts {dataset.class_counts()}")
     table = cv_accuracy_table(dataset, args.grid, seed=args.seed, n_folds=args.cv_folds)
-    chosen, best = None, -1.0
     for v in sorted(table):
         print(f"n_trees={v}\tcv_accuracy={table[v]:.4f}")
-        if table[v] > best:
-            chosen, best = v, table[v]
+    chosen = best_grid_value(table)
     hp = Hyperparams(n_trees=chosen, seed=args.seed)
     model = train_forest(dataset, hp)
     save_model(model, args.out_model)
@@ -333,9 +329,7 @@ def cmd_eval_obfuscation(args) -> int:
     samples = load_invoke_samples(args.manifest)
     kind = ObfuscationKind(args.kind)
     if args.stub:
-        with open(args.stub, "r", encoding="utf-8") as fh:
-            stub = tuple(loads_invoke_list(fh.read()))
-        t = ObfuscationTransform(kind, stub, args.seed)
+        t = ObfuscationTransform(kind, tuple(load_invoke_list_text(args.stub)), args.seed)
     else:
         t = default_transform(kind, args.seed)
     arms = [False, True] if args.plus_one else [False]
@@ -356,14 +350,12 @@ def cmd_eval_obfuscation(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    from .evaluation import _split_dataset
-
     ref = _resolve_reference(args)
     dataset, _ = load_labeled_dataset(args.manifest, ref, skip_errors=True)
     halves = []
     for r in range(args.splits):
         rng = np.random.default_rng((args.seed, r, 7))
-        train, _test = _split_dataset(dataset, args.fraction, rng)
+        train, _test = split_dataset(dataset, args.fraction, rng)
         halves.append(train)
     ranking = rank_features(halves)
     print("rank\tfeature\tmean_information_gain")
@@ -375,15 +367,9 @@ def cmd_rank(args) -> int:
 def cmd_model_info(args) -> int:
     model = load_model(args.model)
     hp = model.hyperparams
-
-    def count_nodes(node):
-        from .forest import Split
-
-        if isinstance(node, Split):
-            return 1 + count_nodes(node.left) + count_nodes(node.right)
-        return 1
-
-    print(f"format_version\t1")
+    # every split has two children, so a binary tree has 2 * splits + 1 nodes
+    n_nodes = len(model.trees) + 2 * sum(split_counts_by_feature(model).values())
+    print(f"format_version\t{MODEL_FORMAT_VERSION}")
     print(f"tool_version\t{__version__}")
     print(f"classes\t{','.join(l.value for l in model.class_order)}")
     print(f"reference_fingerprint\t{model.reference_fingerprint}")
@@ -393,7 +379,7 @@ def cmd_model_info(args) -> int:
     print(f"min_samples_leaf\t{hp.min_samples_leaf}")
     print(f"features_per_split\t{hp.features_per_split}")
     print(f"seed\t{hp.seed}")
-    print(f"total_nodes\t{sum(count_nodes(t) for t in model.trees)}")
+    print(f"total_nodes\t{n_nodes}")
     return 0
 
 

@@ -352,20 +352,14 @@ def _read_class_data(blob: bytes, off: int, method_ids_size: int) -> tuple[int, 
     return tuple(code_offs)
 
 
-def _walk_code_item(blob: bytes, code_off: int) -> list[int]:
+def _walk_into(data: bytes, code_off: int, append) -> None:
     """Walk one code item's instruction stream.
 
-    Returns packed hits ``(method_idx << 8) | opcode`` for every invoke
-    instruction (35c and 3rc formats; the method index is the second code
-    unit in both). Raises StructuralError if the decoded instruction sizes
-    do not tile insns_size exactly.
+    Calls ``append`` with the packed hit ``(method_idx << 8) | opcode`` for
+    every invoke instruction (35c and 3rc formats; the method index is the
+    second code unit in both). Raises StructuralError if the decoded
+    instruction sizes do not tile insns_size exactly.
     """
-    hits: list[int] = []
-    _walk_into(blob, code_off, hits.append)
-    return hits
-
-
-def _walk_into(data: bytes, code_off: int, append) -> None:
     insns_units = struct.unpack_from("<I", data, code_off + 12)[0]
     pos = code_off + 16
     end = pos + insns_units * 2
@@ -435,6 +429,8 @@ def _resolve_method(dex: DexFile, method_idx: int, cache: dict) -> MethodRef | N
         return cache[method_idx]
     except KeyError:
         pass
+    if method_idx >= len(dex.method_table):
+        raise StructuralError(f"invoke method index {method_idx} out of range")
     class_idx, name_idx, proto_idx = dex.method_table[method_idx]
     class_path = _normalize_class_descriptor(dex.type_names[class_idx])
     if class_path is None:
@@ -460,15 +456,13 @@ def extract_invokes(dex: DexFile) -> list[InvokeSite]:
     """
     sites: list[InvokeSite] = []
     cache: dict[int, MethodRef | None] = {}
-    n_methods = len(dex.method_table)
     for item in dex.class_items:
         caller = _caller_of(dex, item.class_type_index)
         for code_off in item.code_offsets:
-            for packed in _walk_code_item(dex.blob, code_off):
-                method_idx = packed >> 8
-                if method_idx >= n_methods:
-                    raise StructuralError(f"invoke method index {method_idx} out of range")
-                ref = _resolve_method(dex, method_idx, cache)
+            hits: list[int] = []
+            _walk_into(dex.blob, code_off, hits.append)
+            for packed in hits:
+                ref = _resolve_method(dex, packed >> 8, cache)
                 if ref is not None:
                     sites.append(InvokeSite(KIND_BY_OPCODE[packed & 0xFF], caller, ref))
     return sites
@@ -486,15 +480,10 @@ def count_invoke_targets(dex: DexFile) -> Counter:
     for item in dex.class_items:
         for code_off in item.code_offsets:
             _walk_into(blob, code_off, append)
-    raw = Counter(hits)
-    n_methods = len(dex.method_table)
     cache: dict[int, MethodRef | None] = {}
     counts: Counter = Counter()
-    for packed, n in raw.items():
-        method_idx = packed >> 8
-        if method_idx >= n_methods:
-            raise StructuralError(f"invoke method index {method_idx} out of range")
-        ref = _resolve_method(dex, method_idx, cache)
+    for packed, n in Counter(hits).items():
+        ref = _resolve_method(dex, packed >> 8, cache)
         if ref is not None:
             counts[ref] += n
     return counts

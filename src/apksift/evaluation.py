@@ -16,14 +16,17 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date
-from typing import Callable, Iterable, Sequence
+from pathlib import Path
+from types import UnionType
+from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .errors import (
+    ApksiftError,
     ConfigError,
     EmptyBin,
     IoFailure,
@@ -33,26 +36,25 @@ from .errors import (
 )
 from .apk import open_apk
 from .dex import extract_invokes, parse_dex
-from .features import extract_features, extract_from_sample
+from .features import extract_features, extract_from_sample, is_invoke_list_path
 from .forest import (
+    CLASS_INDEX,
     CLASS_ORDER,
     Hyperparams,
     Label,
     LabeledDataset,
     LabeledSample,
     RandomForestModel,
-    _derive_seed,
+    derive_seed,
     predict,
     predict_proba,
     select_n_trees,
     train_forest,
 )
-from .invokes import InvokeSite
+from .invokes import InvokeSite, load_invoke_list_text
 from .reference import ApiReferenceList
 
 logger = logging.getLogger(__name__)
-
-_CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 
 RANSOMWARE_CURVE = "ransomware_vs_benign"
 MALWARE_CURVE = "malware_vs_benign"
@@ -162,7 +164,7 @@ def roc_one_vs_benign(
     """ROC over {positive_class} union {Trusted}; the third class is excluded."""
     if positive_class not in (Label.Ransomware, Label.GenericMalware):
         raise ValueError(f"positive class must be a malicious class, got {positive_class}")
-    pos_idx = _CLASS_INDEX[positive_class]
+    pos_idx = CLASS_INDEX[positive_class]
     scores: list[float] = []
     positive: list[bool] = []
     for s in test:
@@ -207,7 +209,7 @@ def stratified_split_indices(
     return sorted(train), sorted(test)
 
 
-def _split_dataset(
+def split_dataset(
     data: LabeledDataset, fraction: float, rng: np.random.Generator
 ) -> tuple[LabeledDataset, LabeledDataset]:
     labels = [s.label for s in data]
@@ -317,11 +319,11 @@ def random_split_eval(
     repeat_results: list[RepeatResult] = []
     for r in range(repeats):
         rng = np.random.default_rng((seed, r, 7))
-        train, test = _split_dataset(data, fraction, rng)
+        train, test = split_dataset(data, fraction, rng)
         n_trees = select_n_trees(
-            train, grid, seed=_derive_seed(seed, r, 11), n_folds=cv_folds, hp_base=hp_base
+            train, grid, seed=derive_seed(seed, r, 11), n_folds=cv_folds, hp_base=hp_base
         )
-        hp = replace(hp_base or Hyperparams(), n_trees=n_trees, seed=_derive_seed(seed, r, 13))
+        hp = replace(hp_base or Hyperparams(), n_trees=n_trees, seed=derive_seed(seed, r, 13))
         model = train_forest(train, hp)
         curves = {
             RANSOMWARE_CURVE: roc_one_vs_benign(model, test, Label.Ransomware),
@@ -440,13 +442,13 @@ def temporal_eval(
 
     partition = LabeledDataset(train_samples)
     rng = np.random.default_rng((seed, 17))
-    fit_part, holdout = _split_dataset(partition, 1.0 - holdout_fraction, rng)
-    hp = replace(hp_base or Hyperparams(), n_trees=n_trees, seed=_derive_seed(seed, 19))
+    fit_part, holdout = split_dataset(partition, 1.0 - holdout_fraction, rng)
+    hp = replace(hp_base or Hyperparams(), n_trees=n_trees, seed=derive_seed(seed, 19))
     model = train_forest(fit_part, hp)
     curve = roc_one_vs_benign(model, holdout, Label.Ransomware)
     threshold = operating_point(curve, target_fpr)
 
-    pos_idx = _CLASS_INDEX[Label.Ransomware]
+    pos_idx = CLASS_INDEX[Label.Ransomware]
     results: list[BinResult] = []
     total = detected_total = 0
     for (label, start, end), members in zip(spec.bins, bin_members):
@@ -510,10 +512,7 @@ def obfuscation_eval(
         raise EmptyBin("ransomware")
     transformed = {s.sample_id: extract_features(transform(s.invokes), ref) for s in ransomware}
 
-    train_rows = [
-        LabeledSample(s.sample_id, extract_features(s.invokes, ref), s.label, s.first_seen)
-        for s in samples
-    ]
+    train_rows = list(dataset_from_invoke_samples(samples, ref))
     injected_id = None
     if plus_one:
         rng = np.random.default_rng((seed, 23))
@@ -523,7 +522,7 @@ def obfuscation_eval(
             LabeledSample(f"{pick.sample_id}+obf", transformed[pick.sample_id], Label.Ransomware)
         )
     train = LabeledDataset(train_rows)
-    hp = replace(hp_base or Hyperparams(), n_trees=n_trees, seed=_derive_seed(seed, 29))
+    hp = replace(hp_base or Hyperparams(), n_trees=n_trees, seed=derive_seed(seed, 29))
     model = train_forest(train, hp)
     detected = sum(1 for fv in transformed.values() if predict(model, fv) is Label.Ransomware)
     return ObfuscationReport(
@@ -547,152 +546,62 @@ def obfuscation_eval(
 # report serialization
 
 
-def _curve_to_list(curve: RocCurve) -> list[list[float]]:
-    return [[p.threshold, p.fpr, p.tpr] for p in curve.points]
+_REPORT_TYPES = {
+    "random-split": RandomSplitReport,
+    "temporal": TemporalReport,
+    "obfuscation": ObfuscationReport,
+}
 
 
-def _curve_from_list(rows: list) -> RocCurve:
-    return RocCurve(tuple(RocPoint(float(t), float(f), float(d)) for t, f, d in rows))
+def _encode(value):
+    """JSON-ready form of a report value; a RocCurve is [[threshold, fpr, tpr], ...]."""
+    if isinstance(value, RocCurve):
+        return [[p.threshold, p.fpr, p.tpr] for p in value.points]
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    if isinstance(value, date):
+        return value.isoformat()
+    return value
+
+
+def _decode(tp, value):
+    """Inverse of _encode, driven by the type hint ``tp``."""
+    if tp is RocCurve:
+        return RocCurve(tuple(RocPoint(float(t), float(f), float(d)) for t, f, d in value))
+    if is_dataclass(tp):
+        hints = get_type_hints(tp)
+        return tp(**{f.name: _decode(hints[f.name], value[f.name]) for f in fields(tp)})
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is UnionType:  # X | None
+        return None if value is None else _decode(args[0], value)
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return tuple(_decode(args[0], v) for v in value)
+        return tuple(_decode(a, v) for a, v in zip(args, value))
+    if origin is dict:
+        return {k: _decode(args[1], v) for k, v in value.items()}
+    if tp is date:
+        return date.fromisoformat(value)
+    if tp is float:
+        return float(value)
+    return value
 
 
 def report_to_dict(report) -> dict:
-    if isinstance(report, RandomSplitReport):
-        return {
-            "protocol": report.protocol,
-            "tool_version": report.tool_version,
-            "seed": report.seed,
-            "reference_fingerprint": report.reference_fingerprint,
-            "params": report.params,
-            "repeats": [
-                {
-                    "repeat": rr.repeat,
-                    "n_trees": rr.n_trees,
-                    "metrics": rr.metrics,
-                    "curves": {k: _curve_to_list(c) for k, c in rr.curves.items()},
-                }
-                for rr in report.repeats
-            ],
-            "mean": report.mean,
-            "std": report.std,
-            "averaged_curves": {
-                k: [[f, t] for f, t in v] for k, v in report.averaged_curves.items()
-            },
-            "notes": list(report.notes),
-            "runtime_seconds": report.runtime_seconds,
-        }
-    if isinstance(report, TemporalReport):
-        return {
-            "protocol": report.protocol,
-            "tool_version": report.tool_version,
-            "seed": report.seed,
-            "reference_fingerprint": report.reference_fingerprint,
-            "params": report.params,
-            "threshold": report.threshold,
-            "n_trees": report.n_trees,
-            "bins": [
-                {
-                    "label": b.label,
-                    "start": b.start.isoformat(),
-                    "end": b.end.isoformat(),
-                    "n_samples": b.n_samples,
-                    "n_detected": b.n_detected,
-                    "detection_rate": b.detection_rate,
-                    "empty": b.empty,
-                }
-                for b in report.bins
-            ],
-            "overall_detection_rate": report.overall_detection_rate,
-            "notes": list(report.notes),
-            "runtime_seconds": report.runtime_seconds,
-        }
-    if isinstance(report, ObfuscationReport):
-        return {
-            "protocol": report.protocol,
-            "tool_version": report.tool_version,
-            "seed": report.seed,
-            "reference_fingerprint": report.reference_fingerprint,
-            "params": report.params,
-            "transform_kind": report.transform_kind,
-            "plus_one": report.plus_one,
-            "injected_id": report.injected_id,
-            "n_transformed": report.n_transformed,
-            "n_detected": report.n_detected,
-            "detection_rate": report.detection_rate,
-            "notes": list(report.notes),
-            "runtime_seconds": report.runtime_seconds,
-        }
-    raise UsageError(f"unknown report type {type(report).__name__}")
+    if not isinstance(report, tuple(_REPORT_TYPES.values())):
+        raise UsageError(f"unknown report type {type(report).__name__}")
+    return _encode(report)
 
 
 def report_from_dict(doc: dict):
     protocol = doc.get("protocol")
-    if protocol == "random-split":
-        return RandomSplitReport(
-            protocol=protocol,
-            tool_version=doc["tool_version"],
-            seed=doc["seed"],
-            reference_fingerprint=doc["reference_fingerprint"],
-            params=doc["params"],
-            repeats=tuple(
-                RepeatResult(
-                    rr["repeat"],
-                    rr["n_trees"],
-                    rr["metrics"],
-                    {k: _curve_from_list(c) for k, c in rr["curves"].items()},
-                )
-                for rr in doc["repeats"]
-            ),
-            mean=doc["mean"],
-            std=doc["std"],
-            averaged_curves={
-                k: tuple((float(f), float(t)) for f, t in v)
-                for k, v in doc["averaged_curves"].items()
-            },
-            notes=tuple(doc["notes"]),
-            runtime_seconds=doc["runtime_seconds"],
-        )
-    if protocol == "temporal":
-        return TemporalReport(
-            protocol=protocol,
-            tool_version=doc["tool_version"],
-            seed=doc["seed"],
-            reference_fingerprint=doc["reference_fingerprint"],
-            params=doc["params"],
-            threshold=doc["threshold"],
-            n_trees=doc["n_trees"],
-            bins=tuple(
-                BinResult(
-                    b["label"],
-                    date.fromisoformat(b["start"]),
-                    date.fromisoformat(b["end"]),
-                    b["n_samples"],
-                    b["n_detected"],
-                    b["detection_rate"],
-                    b["empty"],
-                )
-                for b in doc["bins"]
-            ),
-            overall_detection_rate=doc["overall_detection_rate"],
-            notes=tuple(doc["notes"]),
-            runtime_seconds=doc["runtime_seconds"],
-        )
-    if protocol == "obfuscation":
-        return ObfuscationReport(
-            protocol=protocol,
-            tool_version=doc["tool_version"],
-            seed=doc["seed"],
-            reference_fingerprint=doc["reference_fingerprint"],
-            params=doc["params"],
-            transform_kind=doc["transform_kind"],
-            plus_one=doc["plus_one"],
-            injected_id=doc["injected_id"],
-            n_transformed=doc["n_transformed"],
-            n_detected=doc["n_detected"],
-            detection_rate=doc["detection_rate"],
-            notes=tuple(doc["notes"]),
-            runtime_seconds=doc["runtime_seconds"],
-        )
-    raise UsageError(f"unknown report protocol {protocol!r}")
+    if protocol not in _REPORT_TYPES:
+        raise UsageError(f"unknown report protocol {protocol!r}")
+    return _decode(_REPORT_TYPES[protocol], doc)
 
 
 def _csv_rows(report) -> tuple[list[str], list[list]]:
@@ -781,14 +690,10 @@ def load_labeled_dataset(
 ) -> tuple[LabeledDataset, int]:
     """Extract features for every manifest row; returns (dataset, n_skipped).
 
-    Rows may point at apks or invoke-list fixtures (sniffed by magic),
-    relative to the manifest's directory. With skip_errors, unanalyzable
-    rows are logged and dropped instead of aborting.
+    Rows may point at apks or invoke-list fixtures (told apart by file
+    suffix), relative to the manifest's directory. With skip_errors,
+    unanalyzable rows are logged and dropped instead of aborting.
     """
-    from pathlib import Path
-
-    from .errors import ApksiftError
-
     base = Path(manifest_path).parent
     samples = []
     skipped = 0
@@ -809,9 +714,6 @@ def load_labeled_dataset(
 
 
 def _invokes_from_file(path, strict: bool = False) -> tuple[InvokeSite, ...]:
-    from .features import is_invoke_list_path
-    from .invokes import load_invoke_list_text
-
     if is_invoke_list_path(path):
         return tuple(load_invoke_list_text(path))
     package = open_apk(path)
@@ -823,8 +725,6 @@ def _invokes_from_file(path, strict: bool = False) -> tuple[InvokeSite, ...]:
 
 def load_invoke_samples(manifest_path, strict: bool = False) -> list[InvokeSample]:
     """Manifest rows as invoke-level samples (needed by obfuscation protocols)."""
-    from pathlib import Path
-
     base = Path(manifest_path).parent
     out = []
     for row in load_manifest(manifest_path):
@@ -853,7 +753,10 @@ def load_manifest(path) -> list[ManifestRow]:
                         f"{path}:{lineno}: unknown label {row['label']!r}"
                     ) from None
                 raw_date = (row.get("first_seen") or "").strip()
-                first_seen = date.fromisoformat(raw_date) if raw_date else None
+                try:
+                    first_seen = date.fromisoformat(raw_date) if raw_date else None
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: bad first_seen {raw_date!r}") from None
                 rows.append(
                     ManifestRow(row["path"].strip(), label, first_seen, (row.get("family") or "").strip())
                 )

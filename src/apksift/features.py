@@ -37,11 +37,13 @@ class FeatureVector:
         return sum(self.counts)
 
 
-def _vector_from_counter(key_counts: Counter, ref: ApiReferenceList) -> FeatureVector:
-    counts = [0] * len(ref.entries)
+def _vector_from_counter(target_counts: Counter, ref: ApiReferenceList) -> FeatureVector:
+    """Project occurrence counts per MethodRef onto the reference list."""
+    g = ref.granularity
     index_of = ref.index_of
-    for key, n in key_counts.items():
-        idx = index_of.get(key)
+    counts = [0] * len(ref.entries)
+    for target, n in target_counts.items():
+        idx = index_of.get(key_of(target, g))
         if idx is not None:
             counts[idx] = min(counts[idx] + n, COUNT_CEILING)
     return FeatureVector(tuple(counts), ref.fingerprint)
@@ -49,13 +51,7 @@ def _vector_from_counter(key_counts: Counter, ref: ApiReferenceList) -> FeatureV
 
 def extract_features(invokes: Iterable[InvokeSite], ref: ApiReferenceList) -> FeatureVector:
     """Count invoke targets against the reference list (zero vector if empty)."""
-    g = ref.granularity
-    key_counts: Counter = Counter()
-    for site in invokes:
-        key = key_of(site.target, g)
-        if key is not None:
-            key_counts[key] += 1
-    return _vector_from_counter(key_counts, ref)
+    return _vector_from_counter(Counter(site.target for site in invokes), ref)
 
 
 def extract_from_apk(path, ref: ApiReferenceList, strict: bool = False) -> FeatureVector:
@@ -71,15 +67,10 @@ def extract_from_apk(path, ref: ApiReferenceList, strict: bool = False) -> Featu
 def features_from_dex_blobs(
     blobs: Sequence[bytes], ref: ApiReferenceList, strict: bool = False
 ) -> FeatureVector:
-    g = ref.granularity
-    key_counts: Counter = Counter()
+    target_counts: Counter = Counter()
     for blob in blobs:
-        dex = parse_dex(blob, strict=strict)
-        for target, n in count_invoke_targets(dex).items():
-            key = key_of(target, g)
-            if key is not None:
-                key_counts[key] += n
-    return _vector_from_counter(key_counts, ref)
+        target_counts.update(count_invoke_targets(parse_dex(blob, strict=strict)))
+    return _vector_from_counter(target_counts, ref)
 
 
 INVOKE_LIST_SUFFIXES = (".txt", ".invokes", ".list")

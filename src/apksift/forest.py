@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -44,7 +44,7 @@ class Label(enum.Enum):
 
 
 CLASS_ORDER = (Label.Trusted, Label.GenericMalware, Label.Ransomware)
-_CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
+CLASS_INDEX = {label: i for i, label in enumerate(CLASS_ORDER)}
 N_CLASSES = 3
 
 MODEL_FORMAT = "apksift-random-forest"
@@ -87,14 +87,14 @@ class LabeledDataset:
     def to_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         if self._arrays is None:
             X = np.array([s.features.counts for s in self.samples], dtype=np.int64)
-            y = np.array([_CLASS_INDEX[s.label] for s in self.samples], dtype=np.int8)
+            y = np.array([CLASS_INDEX[s.label] for s in self.samples], dtype=np.int8)
             self._arrays = (X, y)
         return self._arrays
 
     def class_counts(self) -> tuple[int, int, int]:
         counts = [0, 0, 0]
         for s in self.samples:
-            counts[_CLASS_INDEX[s.label]] += 1
+            counts[CLASS_INDEX[s.label]] += 1
         return tuple(counts)
 
     def subset(self, indices: Sequence[int]) -> "LabeledDataset":
@@ -364,9 +364,8 @@ def predict_proba(model: RandomForestModel, fv: FeatureVector) -> tuple[float, f
     return (s0 / k, s1 / k, s2 / k)
 
 
-def predict(model: RandomForestModel, fv: FeatureVector) -> Label:
-    """Argmax of predict_proba; ties break by class order."""
-    probs = predict_proba(model, fv)
+def label_of(probs: Sequence[float]) -> Label:
+    """Argmax of a class-probability triple; ties break by class order."""
     best = 0
     if probs[1] > probs[best]:
         best = 1
@@ -375,10 +374,15 @@ def predict(model: RandomForestModel, fv: FeatureVector) -> Label:
     return CLASS_ORDER[best]
 
 
+def predict(model: RandomForestModel, fv: FeatureVector) -> Label:
+    """Argmax of predict_proba; ties break by class order."""
+    return label_of(predict_proba(model, fv))
+
+
 # -- model selection and ranking ----------------------------------------------
 
 
-def _derive_seed(*parts: int) -> int:
+def derive_seed(*parts: int) -> int:
     state = np.random.SeedSequence(list(parts)).generate_state(2)
     return int(state[0]) << 32 | int(state[1])
 
@@ -408,9 +412,12 @@ def select_n_trees(
     Ties break toward the smaller value. Folds whose training partition
     degenerates to a single class are skipped from the average.
     """
-    if len(data) < n_folds:
-        raise TooFewSamples(f"{len(data)} samples < {n_folds} folds")
     table = cv_accuracy_table(data, grid, seed=seed, n_folds=n_folds, hp_base=hp_base)
+    return best_grid_value(table)
+
+
+def best_grid_value(table: dict[int, float]) -> int:
+    """The grid value with the highest CV accuracy; ties go to the smaller value."""
     best_value, best_acc = None, -1.0
     for v in sorted(table):
         if table[v] > best_acc:
@@ -448,7 +455,7 @@ def cv_accuracy_table(
             train = data.subset(all_idx[train_mask].tolist())
             if sum(1 for c in train.class_counts() if c > 0) < 2:
                 continue
-            hp = replace(base, n_trees=v, seed=_derive_seed(seed, v, k))
+            hp = replace(base, n_trees=v, seed=derive_seed(seed, v, k))
             model = train_forest(train, hp)
             test = data.subset(fold.tolist())
             hits = sum(1 for s in test if predict(model, s.features) is s.label)
@@ -521,13 +528,7 @@ def dumps_model(model: RandomForestModel) -> str:
         "class_order": [label.value for label in model.class_order],
         "reference_fingerprint": model.reference_fingerprint,
         "feature_dim": model.feature_dim,
-        "hyperparams": {
-            "n_trees": model.hyperparams.n_trees,
-            "max_depth": model.hyperparams.max_depth,
-            "min_samples_leaf": model.hyperparams.min_samples_leaf,
-            "features_per_split": model.hyperparams.features_per_split,
-            "seed": model.hyperparams.seed,
-        },
+        "hyperparams": asdict(model.hyperparams),
         "trees": trees,
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -583,13 +584,7 @@ def loads_model(text: str) -> RandomForestModel:
         fingerprint = doc["reference_fingerprint"]
         feature_dim = doc["feature_dim"]
         hp_doc = doc["hyperparams"]
-        hp = Hyperparams(
-            n_trees=hp_doc["n_trees"],
-            max_depth=hp_doc["max_depth"],
-            min_samples_leaf=hp_doc["min_samples_leaf"],
-            features_per_split=hp_doc["features_per_split"],
-            seed=hp_doc["seed"],
-        )
+        hp = Hyperparams(**{f.name: hp_doc[f.name] for f in fields(Hyperparams)})
         raw_trees = doc["trees"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModel(f"missing or malformed field: {exc}") from exc

@@ -142,12 +142,17 @@ def dumps_invoke_list(sites: Iterable[InvokeSite]) -> str:
 
 
 def load_invoke_list_text(path) -> list[InvokeSite]:
-    """Load a fixture file; raises MalformedLine naming the first bad line."""
+    """Load a fixture file; raises MalformedLine naming the first bad line,
+    which for a file that is not UTF-8 is the line of its first bad byte."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}") from None
     return loads_invoke_list(text)
 
 

@@ -92,16 +92,16 @@ class ApiReferenceList:
         return h.hexdigest()[:16]
 
 
-def make_reference(
+def _build(
     granularity: Granularity,
-    keys: Iterable[str],
-    api_level: int | None = None,
+    numbered_keys: Iterable[tuple[int, str]],
+    api_level: int | None,
 ) -> ApiReferenceList:
-    """Build a reference list from keys: validate, deduplicate, sort."""
+    """Validate, deduplicate and sort (line number, key) pairs."""
     pattern = _KEY_RE[granularity]
     seen = set()
     dropped = 0
-    for line_no, key in enumerate(keys, start=1):
+    for line_no, key in numbered_keys:
         if not pattern.match(key):
             raise MalformedKey(line_no, f"{key!r} is not a {granularity.value} key")
         if key in seen:
@@ -118,32 +118,24 @@ def make_reference(
     )
 
 
-def load_reference_auto(path) -> ApiReferenceList:
-    """Load a reference list trusting the granularity its header declares."""
-    declared = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.strip()
-                if line.startswith("#") and line[1:].strip().lower().startswith("granularity:"):
-                    declared = Granularity.from_token(line.split(":", 1)[1])
-                    break
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    except ValueError as exc:
-        raise GranularityMismatch(f"{path}: {exc}") from exc
-    if declared is None:
-        raise GranularityMismatch(f"{path}: no '# granularity:' header")
-    return load_reference(path, declared)
+def make_reference(
+    granularity: Granularity,
+    keys: Iterable[str],
+    api_level: int | None = None,
+) -> ApiReferenceList:
+    """Build a reference list from keys: validate, deduplicate, sort."""
+    return _build(granularity, enumerate(keys, start=1), api_level)
 
 
-def load_reference(path, expected_granularity: Granularity) -> ApiReferenceList:
-    """Load a reference-list file, checking its declared granularity."""
+def _load(path, expected: Granularity | None) -> ApiReferenceList:
+    """Read a reference-list file once; ``expected=None`` trusts its header."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise GranularityMismatch(f"{path}: {exc}") from exc
 
     declared: Granularity | None = None
     api_level: int | None = None
@@ -156,9 +148,15 @@ def load_reference(path, expected_granularity: Granularity) -> ApiReferenceList:
             body = line[1:].strip()
             if body.lower().startswith("granularity:"):
                 try:
-                    declared = Granularity.from_token(body.split(":", 1)[1])
+                    header = Granularity.from_token(body.split(":", 1)[1])
                 except ValueError as exc:
                     raise GranularityMismatch(f"{path}: {exc}") from exc
+                if declared not in (None, header):
+                    raise GranularityMismatch(
+                        f"{path}: line {line_no} declares {header.value}, "
+                        f"but an earlier header declares {declared.value}"
+                    )
+                declared = header
             elif body.lower().startswith("api-level:"):
                 try:
                     api_level = int(body.split(":", 1)[1].strip())
@@ -169,31 +167,22 @@ def load_reference(path, expected_granularity: Granularity) -> ApiReferenceList:
 
     if declared is None:
         raise GranularityMismatch(f"{path}: no '# granularity:' header")
-    if declared is not expected_granularity:
-        raise GranularityMismatch(
-            f"{path}: declares {declared.value}, expected {expected_granularity.value}"
-        )
+    if expected is not None and declared is not expected:
+        raise GranularityMismatch(f"{path}: declares {declared.value}, expected {expected.value}")
+    ref = _build(declared, keys, api_level)
+    if ref.duplicates_dropped:
+        logger.warning("%s: dropped %d duplicate entries", path, ref.duplicates_dropped)
+    return ref
 
-    pattern = _KEY_RE[expected_granularity]
-    seen = set()
-    dropped = 0
-    for line_no, key in keys:
-        if not pattern.match(key):
-            raise MalformedKey(line_no, f"{key!r} is not a {expected_granularity.value} key")
-        if key in seen:
-            dropped += 1
-        else:
-            seen.add(key)
-    if dropped:
-        logger.warning("%s: dropped %d duplicate entries", path, dropped)
-    entries = tuple(sorted(seen))
-    return ApiReferenceList(
-        granularity=expected_granularity,
-        api_level=api_level,
-        entries=entries,
-        index_of={k: i for i, k in enumerate(entries)},
-        duplicates_dropped=dropped,
-    )
+
+def load_reference_auto(path) -> ApiReferenceList:
+    """Load a reference list trusting the granularity its header declares."""
+    return _load(path, None)
+
+
+def load_reference(path, expected_granularity: Granularity) -> ApiReferenceList:
+    """Load a reference-list file, checking its declared granularity."""
+    return _load(path, expected_granularity)
 
 
 def save_reference(ref: ApiReferenceList, path) -> None:

@@ -293,3 +293,52 @@ def test_version_flag(capsys):
     rc = main(["--version"])
     assert rc == 0
     assert capsys.readouterr().out.startswith("apksift ")
+
+
+def _manifest(tmp_path, rows):
+    path = tmp_path / "manifest.csv"
+    path.write_text("path,label,first_seen,family\n" + "".join(f"{r}\n" for r in rows))
+    return path
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "eval-obfuscation"])
+def test_bad_first_seen_is_a_usage_error(workspace, tmp_path, capsys, command):
+    corpus = Path(workspace["manifest"]).parent
+    manifest = _manifest(
+        tmp_path,
+        [f"{corpus / 't0000.txt'},trusted,2016-01-02,x", f"{corpus / 'r0000.txt'},ransomware,2016-13-45,x"],
+    )
+    _, ref_path = workspace["refs"][Granularity.Package]
+    extra = {"extract": ["--out-csv", str(tmp_path / "f.csv")],
+             "train": ["--out-model", str(tmp_path / "m.json")],
+             "eval-obfuscation": ["--out", str(tmp_path)]}[command]
+    rc = main([command, "--manifest", str(manifest), "--reference", str(ref_path), *extra])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"error: {manifest}:3: bad first_seen '2016-13-45'\n"
+
+
+def test_scan_non_utf8_fixture_exit_3(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"# fixture\ninvoke-static La/B; Ljava/io/File;->\xffdelete()Z\n")
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(["scan", str(bad), "--model", str(workspace["model"]), "--reference", str(ref_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: MalformedLine: line 2: not UTF-8")
+    assert err.count("\n") == 1
+
+
+def test_extract_skips_non_utf8_fixture(workspace, tmp_path, capsys):
+    (tmp_path / "bad.txt").write_bytes(b"invoke-static La/B; Ljava/io/File;->delete()Z\n\xfe\n")
+    corpus = Path(workspace["manifest"]).parent
+    manifest = _manifest(
+        tmp_path, [f"{corpus / 't0000.txt'},trusted,2016-01-02,x", "bad.txt,ransomware,2016-01-01,x"]
+    )
+    _, ref_path = workspace["refs"][Granularity.Package]
+    out_csv = tmp_path / "f.csv"
+    rc = main(["extract", "--manifest", str(manifest), "--reference", str(ref_path),
+               "--out-csv", str(out_csv)])
+    assert rc == 0
+    assert "wrote 1 vectors" in capsys.readouterr().out
+    assert "bad.txt" not in out_csv.read_text()

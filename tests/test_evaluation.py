@@ -358,10 +358,10 @@ def test_obfuscation_identity_equals_in_training_recall():
         transform_kind="identity", seed=6, n_trees=15,
     )
     # recompute in-training ransomware recall with the same training seed
-    from apksift.forest import _derive_seed
+    from apksift.forest import derive_seed
 
     train = dataset_from_invoke_samples(samples, ref)
-    model = train_forest(train, Hyperparams(n_trees=15, seed=_derive_seed(6, 29)))
+    model = train_forest(train, Hyperparams(n_trees=15, seed=derive_seed(6, 29)))
     ransom = [s for s in train if s.label is R]
     recall = sum(1 for s in ransom if predict(model, s.features) is R) / len(ransom)
     assert report.detection_rate == recall

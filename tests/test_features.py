@@ -18,6 +18,7 @@ from apksift.features import (
     write_features_csv,
 )
 from apksift.dex import extract_invokes, parse_dex
+from apksift.invokes import MethodRef
 from apksift.reference import Granularity, key_of, make_reference, project
 from apksift.synth import random_dex, write_apk
 
@@ -154,7 +155,10 @@ def test_granularity_consistency(sites):
 
 
 def test_count_saturation(package_subset):
-    counter = Counter({"java/io": COUNT_CEILING + 500, "javax/crypto": 3})
+    read = MethodRef.from_class_path("java/io/FileInputStream", "read", "([B)I")
+    close = MethodRef.from_class_path("java/io/FileInputStream", "close", "()V")
+    flush = MethodRef.from_class_path("javax/crypto/CipherOutputStream", "flush", "()V")
+    counter = Counter({read: COUNT_CEILING, close: 500, flush: 3})
     fv = _vector_from_counter(counter, package_subset)
     assert by_key(fv, package_subset)["java/io"] == COUNT_CEILING
     assert by_key(fv, package_subset)["javax/crypto"] == 3

@@ -70,6 +70,21 @@ def test_missing_header(tmp_path):
         load_reference_auto(path)
 
 
+def test_conflicting_headers_rejected_by_both_loaders(tmp_path):
+    path = write(tmp_path, "# granularity: package\njava/io\n# granularity: class\n")
+    for load in (load_reference_auto, lambda p: load_reference(p, Granularity.Class)):
+        with pytest.raises(GranularityMismatch, match="line 3 declares class"):
+            load(path)
+
+
+def test_non_utf8_file_rejected_by_both_loaders(tmp_path):
+    path = tmp_path / "ref.txt"
+    path.write_bytes(b"# granularity: package\njava/io\n\xff\n")
+    for load in (load_reference_auto, lambda p: load_reference(p, Granularity.Package)):
+        with pytest.raises(GranularityMismatch, match="utf-8"):
+            load(path)
+
+
 def test_load_auto_uses_header(tmp_path):
     path = write(tmp_path, "# granularity: class\njava/io/File\n")
     ref = load_reference_auto(path)
