@@ -17,6 +17,7 @@ import argparse
 import logging
 import os
 import sys
+from datetime import date
 from pathlib import Path
 
 import numpy as np
@@ -301,10 +302,6 @@ def _parse_bins(tokens) -> list[tuple[str, str, str]]:
 
 
 def cmd_eval_temporal(args) -> int:
-    from datetime import date
-
-    ref = _resolve_reference(args)
-    dataset, _ = load_labeled_dataset(args.manifest, ref, skip_errors=True)
     try:
         d_tr = date.fromisoformat(args.train_cutoff)
         bins = tuple(
@@ -314,6 +311,8 @@ def cmd_eval_temporal(args) -> int:
     except ValueError as exc:
         raise UsageError(f"bad date: {exc}") from exc
     spec = TemporalSplitSpec(d_tr=d_tr, bins=bins)
+    ref = _resolve_reference(args)
+    dataset, _ = load_labeled_dataset(args.manifest, ref, skip_errors=True)
     report = temporal_eval(
         dataset, spec, target_fpr=args.target_fpr, seed=args.seed, n_trees=args.n_trees
     )
@@ -326,7 +325,7 @@ def cmd_eval_temporal(args) -> int:
 
 def cmd_eval_obfuscation(args) -> int:
     ref = _resolve_reference(args)
-    samples = load_invoke_samples(args.manifest)
+    samples = load_invoke_samples(args.manifest, skip_errors=True)
     kind = ObfuscationKind(args.kind)
     if args.stub:
         t = ObfuscationTransform(kind, tuple(load_invoke_list_text(args.stub)), args.seed)
@@ -367,8 +366,7 @@ def cmd_rank(args) -> int:
 def cmd_model_info(args) -> int:
     model = load_model(args.model)
     hp = model.hyperparams
-    # every split has two children, so a binary tree has 2 * splits + 1 nodes
-    n_nodes = len(model.trees) + 2 * sum(split_counts_by_feature(model).values())
+    n_nodes = sum(len(tree.nodes) for tree in model.trees)
     print(f"format_version\t{MODEL_FORMAT_VERSION}")
     print(f"tool_version\t{__version__}")
     print(f"classes\t{','.join(l.value for l in model.class_order)}")

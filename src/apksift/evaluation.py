@@ -18,6 +18,7 @@ import logging
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import date
+from functools import partial
 from pathlib import Path
 from types import UnionType
 from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
@@ -694,23 +695,29 @@ def load_labeled_dataset(
     suffix), relative to the manifest's directory. With skip_errors,
     unanalyzable rows are logged and dropped instead of aborting.
     """
+    loaded, skipped = _load_rows(
+        manifest_path, partial(extract_from_sample, ref=ref, strict=strict), skip_errors
+    )
+    samples = (LabeledSample(row.path, fv, row.label, row.first_seen) for row, fv in loaded)
+    return LabeledDataset(samples), skipped
+
+
+def _load_rows(manifest_path, load, skip_errors: bool) -> tuple[list, int]:
+    """([(row, load(path relative to the manifest))], n_skipped); with skip_errors,
+    a row whose load raises ApksiftError is logged and dropped instead of aborting."""
     base = Path(manifest_path).parent
-    samples = []
-    skipped = 0
-    for row in load_manifest(manifest_path):
-        full = base / row.path
+    rows = load_manifest(manifest_path)
+    loaded = []
+    for row in rows:
         try:
-            fv = extract_from_sample(full, ref, strict=strict)
+            loaded.append((row, load(base / row.path)))
         except ApksiftError as exc:
             if not skip_errors:
                 raise
             logger.warning("skipping %s: %s", row.path, exc)
-            skipped += 1
-            continue
-        samples.append(LabeledSample(row.path, fv, row.label, row.first_seen))
-    if not samples:
+    if not loaded:
         raise TooFewSamples(f"{manifest_path}: no analyzable rows")
-    return LabeledDataset(samples), skipped
+    return loaded, len(rows) - len(loaded)
 
 
 def _invokes_from_file(path, strict: bool = False) -> tuple[InvokeSite, ...]:
@@ -723,17 +730,13 @@ def _invokes_from_file(path, strict: bool = False) -> tuple[InvokeSite, ...]:
     return tuple(sites)
 
 
-def load_invoke_samples(manifest_path, strict: bool = False) -> list[InvokeSample]:
-    """Manifest rows as invoke-level samples (needed by obfuscation protocols)."""
-    base = Path(manifest_path).parent
-    out = []
-    for row in load_manifest(manifest_path):
-        out.append(
-            InvokeSample(
-                row.path, row.label, row.first_seen, _invokes_from_file(base / row.path, strict)
-            )
-        )
-    return out
+def load_invoke_samples(
+    manifest_path, strict: bool = False, skip_errors: bool = False
+) -> list[InvokeSample]:
+    """Manifest rows as invoke-level samples (needed by obfuscation protocols);
+    skip_errors as in load_labeled_dataset."""
+    loaded, _ = _load_rows(manifest_path, partial(_invokes_from_file, strict=strict), skip_errors)
+    return [InvokeSample(row.path, row.label, row.first_seen, sites) for row, sites in loaded]
 
 
 def load_manifest(path) -> list[ManifestRow]:

@@ -10,6 +10,12 @@ earlier ones.
 
 Thresholds are midpoints between consecutive distinct feature values; ties
 in gain break toward the lowest feature index, then the lowest threshold.
+
+A tree is the model file's own pre-order node list: a split is ("s",
+feature, threshold), sending a sample left iff counts[feature] <= threshold,
+and a leaf is ("l", p0, p1, p2), the class distribution of the training
+samples that reached it. Every pass over a tree is a loop over that list, so
+tree depth is bounded by memory, not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import date
 from functools import lru_cache
@@ -123,21 +130,61 @@ class Hyperparams:
 
 
 @dataclass(frozen=True)
-class Leaf:
-    distribution: tuple[float, float, float]
+class Tree:
+    """Pre-order nodes; node i's left child is i + 1, its right child right[i]."""
+
+    nodes: tuple[tuple, ...]
+    right: tuple[int, ...]  # 0 for a leaf
+
+    @classmethod
+    def from_nodes(cls, raw, feature_dim: int) -> "Tree":
+        """Validate a pre-order node list and link each split to its right child."""
+        if not isinstance(raw, (list, tuple)):
+            raise CorruptModel(f"a tree is a {type(raw).__name__}, not a node list")
+        nodes = [_node(item, i, feature_dim) for i, item in enumerate(raw)]
+        right = [0] * len(nodes)
+        pending: list[int] = []  # splits whose right child is still ahead
+        for i, node in enumerate(nodes):
+            if node[0] == "s":
+                pending.append(i)
+            elif i + 1 < len(nodes):
+                if not pending:
+                    raise CorruptModel(f"{len(nodes) - i - 1} trailing nodes in tree array")
+                right[pending.pop()] = i + 1
+        if pending or not nodes:
+            raise CorruptModel("tree array exhausted mid-node")
+        return cls(tuple(nodes), tuple(right))
 
 
-@dataclass(frozen=True)
-class Split:
-    feature_index: int
-    threshold: float  # go left iff count <= threshold
-    left: "Leaf | Split"
-    right: "Leaf | Split"
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _node(raw, i: int, feature_dim: int) -> tuple:
+    if not isinstance(raw, (list, tuple)) or not raw:
+        raise CorruptModel(f"bad node at {i}")
+    if raw[0] == "s":
+        if len(raw) != 3:
+            raise CorruptModel(f"bad split node at {i}")
+        feature, threshold = raw[1], raw[2]
+        if type(feature) is not int or not 0 <= feature < feature_dim:
+            raise CorruptModel(f"split feature {feature!r} out of range")
+        if not _is_number(threshold):
+            raise CorruptModel(f"split threshold {threshold!r}")
+        return ("s", feature, float(threshold))
+    if raw[0] == "l":
+        if len(raw) != 1 + N_CLASSES:
+            raise CorruptModel(f"bad leaf node at {i}")
+        dist = raw[1:]
+        if not all(_is_number(p) and p >= 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-9:
+            raise CorruptModel(f"leaf distribution {dist} invalid")
+        return ("l", *map(float, dist))
+    raise CorruptModel(f"unknown node tag {raw[0]!r}")
 
 
 @dataclass(frozen=True)
 class RandomForestModel:
-    trees: tuple["Leaf | Split", ...]
+    trees: tuple[Tree, ...]
     hyperparams: Hyperparams
     feature_dim: int
     reference_fingerprint: str
@@ -239,17 +286,30 @@ def best_split(
     candidate has positive gain.
     """
     X, y = data.to_arrays()
-    total = data.class_counts()
-    h_total = _entropy_of(total)
-    best: tuple[float, int, float] | None = None
-    for f in sorted(set(int(i) for i in candidate_feature_indices)):
-        res = _best_for_feature(X[:, f], y, total, h_total)
-        if res is not None and (best is None or res[0] > best[0]):
-            best = (res[0], f, res[1])
+    candidates = sorted(set(int(i) for i in candidate_feature_indices))
+    best = _search(X, y, data.class_counts(), candidates, min_leaf=1)
     if best is None:
         raise NoUsefulSplit("no candidate feature/threshold has positive gain")
     gain, feature, threshold = best
     return feature, threshold, gain
+
+
+def _search(
+    X: np.ndarray,
+    y: np.ndarray,
+    counts: tuple[int, int, int],
+    candidates: Sequence[int],
+    min_leaf: int,
+) -> tuple[float, int, float] | None:
+    """Best (gain, feature, threshold) over ascending candidates; None if no
+    positive-gain split. A gain tie keeps the earlier (lower) feature."""
+    h_total = _entropy_of(counts)
+    best: tuple[float, int, float] | None = None
+    for f in candidates:
+        res = _best_for_feature(X[:, f], y, counts, h_total, min_leaf)
+        if res is not None and (best is None or res[0] > best[0]):
+            best = (res[0], f, res[1])
+    return best
 
 
 # -- training ----------------------------------------------------------------
@@ -260,44 +320,34 @@ def _label_counts(y: np.ndarray) -> tuple[int, int, int]:
     return (int(b[0]), int(b[1]), int(b[2]))
 
 
-def _leaf(counts: tuple[int, int, int]) -> Leaf:
-    n = counts[0] + counts[1] + counts[2]
-    return Leaf((counts[0] / n, counts[1] / n, counts[2] / n))
-
-
 def _grow(
     X: np.ndarray,
     y: np.ndarray,
-    depth: int,
     rng: np.random.Generator,
     hp: Hyperparams,
     m: int,
-    d: int,
-) -> Leaf | Split:
-    counts = _label_counts(y)
-    n = len(y)
-    pure = (counts[0] == n) or (counts[1] == n) or (counts[2] == n)
-    if (
-        pure
-        or n < 2
-        or n < 2 * hp.min_samples_leaf
-        or (hp.max_depth is not None and depth >= hp.max_depth)
-    ):
-        return _leaf(counts)
-    candidates = np.sort(rng.choice(d, size=m, replace=False))
-    h_total = _entropy_of(counts)
-    best: tuple[float, int, float] | None = None
-    for f in candidates.tolist():
-        res = _best_for_feature(X[:, f], y, counts, h_total, hp.min_samples_leaf)
-        if res is not None and (best is None or res[0] > best[0]):
-            best = (res[0], f, res[1])
-    if best is None:
-        return _leaf(counts)
-    _, feature, threshold = best
-    mask = X[:, feature] <= threshold
-    left = _grow(X[mask], y[mask], depth + 1, rng, hp, m, d)
-    right = _grow(X[~mask], y[~mask], depth + 1, rng, hp, m, d)
-    return Split(feature, threshold, left, right)
+) -> list[tuple]:
+    """One tree's nodes in pre-order. The stack pops each left subtree before
+    its right sibling, so nodes draw their feature subsets in pre-order."""
+    nodes: list[tuple] = []
+    stack = [(X, y, 0)]
+    while stack:
+        X, y, depth = stack.pop()
+        counts = _label_counts(y)
+        n = len(y)
+        best = None
+        if not (max(counts) == n or n < 2 * hp.min_samples_leaf or depth == hp.max_depth):
+            candidates = np.sort(rng.choice(X.shape[1], size=m, replace=False)).tolist()
+            best = _search(X, y, counts, candidates, hp.min_samples_leaf)
+        if best is None:
+            nodes.append(("l", counts[0] / n, counts[1] / n, counts[2] / n))
+            continue
+        _, feature, threshold = best
+        nodes.append(("s", feature, threshold))
+        mask = X[:, feature] <= threshold
+        stack.append((X[~mask], y[~mask], depth + 1))
+        stack.append((X[mask], y[mask], depth + 1))
+    return nodes
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -321,7 +371,7 @@ def train_forest(data: LabeledDataset, hp: Hyperparams) -> RandomForestModel:
     for t in range(hp.n_trees):
         rng = tree_rng(hp.seed, t)
         boot = rng.integers(0, n, size=n)
-        trees.append(_grow(X[boot], y[boot], 0, rng, hp, m, d))
+        trees.append(Tree.from_nodes(_grow(X[boot], y[boot], rng, hp, m), d))
     return RandomForestModel(
         trees=tuple(trees),
         hyperparams=hp,
@@ -333,10 +383,14 @@ def train_forest(data: LabeledDataset, hp: Hyperparams) -> RandomForestModel:
 # -- prediction ---------------------------------------------------------------
 
 
-def _walk(node: Leaf | Split, x: Sequence[int]) -> tuple[float, float, float]:
-    while isinstance(node, Split):
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return node.distribution
+def _walk(tree: Tree, x: Sequence[int]) -> tuple:
+    """The leaf node ("l", p0, p1, p2) that x reaches."""
+    nodes, right = tree.nodes, tree.right
+    i, node = 0, nodes[0]
+    while node[0] == "s":
+        i = i + 1 if x[node[1]] <= node[2] else right[i]
+        node = nodes[i]
+    return node
 
 
 def _check_vector(model: RandomForestModel, fv: FeatureVector) -> None:
@@ -356,10 +410,10 @@ def predict_proba(model: RandomForestModel, fv: FeatureVector) -> tuple[float, f
     x = fv.counts
     s0 = s1 = s2 = 0.0
     for tree in model.trees:
-        d = _walk(tree, x)
-        s0 += d[0]
-        s1 += d[1]
-        s2 += d[2]
+        leaf = _walk(tree, x)
+        s0 += leaf[1]
+        s1 += leaf[2]
+        s2 += leaf[3]
     k = len(model.trees)
     return (s0 / k, s1 / k, s2 / k)
 
@@ -491,37 +545,13 @@ def rank_features(datasets: Sequence[LabeledDataset]) -> list[tuple[int, float]]
 
 def split_counts_by_feature(model: RandomForestModel) -> dict[int, int]:
     """How often each feature index appears as an internal split in the model."""
-    counts: dict[int, int] = {}
-
-    def visit(node):
-        if isinstance(node, Split):
-            counts[node.feature_index] = counts.get(node.feature_index, 0) + 1
-            visit(node.left)
-            visit(node.right)
-
-    for tree in model.trees:
-        visit(tree)
-    return counts
+    return dict(Counter(node[1] for tree in model.trees for node in tree.nodes if node[0] == "s"))
 
 
 # -- persistence ---------------------------------------------------------------
 
 
-def _flatten(node: Leaf | Split, out: list) -> None:
-    if isinstance(node, Split):
-        out.append(["s", node.feature_index, node.threshold])
-        _flatten(node.left, out)
-        _flatten(node.right, out)
-    else:
-        out.append(["l", *node.distribution])
-
-
 def dumps_model(model: RandomForestModel) -> str:
-    trees = []
-    for tree in model.trees:
-        flat: list = []
-        _flatten(tree, flat)
-        trees.append(flat)
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
@@ -529,7 +559,7 @@ def dumps_model(model: RandomForestModel) -> str:
         "reference_fingerprint": model.reference_fingerprint,
         "feature_dim": model.feature_dim,
         "hyperparams": asdict(model.hyperparams),
-        "trees": trees,
+        "trees": [tree.nodes for tree in model.trees],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -537,35 +567,6 @@ def dumps_model(model: RandomForestModel) -> str:
 def save_model(model: RandomForestModel, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(dumps_model(model))
-
-
-def _rebuild(flat: list, cursor: list[int], feature_dim: int) -> Leaf | Split:
-    i = cursor[0]
-    if i >= len(flat):
-        raise CorruptModel("tree array exhausted mid-node")
-    node = flat[i]
-    cursor[0] = i + 1
-    if not isinstance(node, list) or not node:
-        raise CorruptModel(f"bad node at {i}")
-    if node[0] == "s":
-        if len(node) != 3:
-            raise CorruptModel(f"bad split node at {i}")
-        feature, threshold = node[1], node[2]
-        if not isinstance(feature, int) or not 0 <= feature < feature_dim:
-            raise CorruptModel(f"split feature {feature!r} out of range")
-        if not isinstance(threshold, (int, float)):
-            raise CorruptModel(f"split threshold {threshold!r}")
-        left = _rebuild(flat, cursor, feature_dim)
-        right = _rebuild(flat, cursor, feature_dim)
-        return Split(feature, float(threshold), left, right)
-    if node[0] == "l":
-        if len(node) != 1 + N_CLASSES:
-            raise CorruptModel(f"bad leaf node at {i}")
-        dist = tuple(float(p) for p in node[1:])
-        if any(p < 0 for p in dist) or abs(sum(dist) - 1.0) > 1e-9:
-            raise CorruptModel(f"leaf distribution {dist} invalid")
-        return Leaf(dist)
-    raise CorruptModel(f"unknown node tag {node[0]!r}")
 
 
 def loads_model(text: str) -> RandomForestModel:
@@ -594,18 +595,15 @@ def loads_model(text: str) -> RandomForestModel:
         raise CorruptModel(f"feature_dim {feature_dim!r}")
     if not isinstance(fingerprint, str) or not fingerprint:
         raise CorruptModel("missing reference fingerprint")
+    for f in fields(Hyperparams):
+        value = getattr(hp, f.name)
+        if type(value) is not int and not (value is None and f.default is None):
+            raise CorruptModel(f"hyperparam {f.name} {value!r}")
     hp.validate()
-    if len(raw_trees) != hp.n_trees:
-        raise CorruptModel(f"{len(raw_trees)} trees but n_trees={hp.n_trees}")
-    trees = []
-    for flat in raw_trees:
-        cursor = [0]
-        tree = _rebuild(flat, cursor, feature_dim)
-        if cursor[0] != len(flat):
-            raise CorruptModel(f"{len(flat) - cursor[0]} trailing nodes in tree array")
-        trees.append(tree)
+    if not isinstance(raw_trees, list) or len(raw_trees) != hp.n_trees:
+        raise CorruptModel(f"trees is not a list of n_trees={hp.n_trees} trees")
     return RandomForestModel(
-        trees=tuple(trees),
+        trees=tuple(Tree.from_nodes(raw, feature_dim) for raw in raw_trees),
         hyperparams=hp,
         feature_dim=feature_dim,
         reference_fingerprint=fingerprint,

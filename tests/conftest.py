@@ -142,3 +142,30 @@ def invoke_sites(draw):
 
 def invoke_lists(max_size=40):
     return st.lists(invoke_sites(), max_size=max_size)
+
+
+# -- hand-written model files ------------------------------------------------
+
+
+def chain_model_doc(depth: int, side: str, fingerprint: str = "chainfp") -> dict:
+    """A one-feature, one-tree model whose splits nest ``depth`` deep on one side.
+
+    Samples with count 0 go left at every split and samples with count 1
+    go right; the leaf at the chain's end is the only one predicting
+    ransomware.
+    """
+    split, end, off = ["s", 0, 0.5], ["l", 0.0, 0.0, 1.0], ["l", 1.0, 0.0, 0.0]
+    if side == "left":
+        nodes = [split] * depth + [end] + [off] * depth
+    else:
+        nodes = [split, off] * depth + [end]
+    return {
+        "format": "apksift-random-forest",
+        "format_version": 1,
+        "class_order": ["trusted", "malware", "ransomware"],
+        "reference_fingerprint": fingerprint,
+        "feature_dim": 1,
+        "hyperparams": {"n_trees": 1, "max_depth": None, "min_samples_leaf": 1,
+                        "features_per_split": None, "seed": 0},
+        "trees": [nodes],
+    }

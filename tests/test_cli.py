@@ -19,7 +19,7 @@ from apksift.synth import (
     write_corpus,
 )
 
-from conftest import locker_body
+from conftest import chain_model_doc, locker_body
 
 
 @pytest.fixture(scope="module")
@@ -342,3 +342,62 @@ def test_extract_skips_non_utf8_fixture(workspace, tmp_path, capsys):
     assert rc == 0
     assert "wrote 1 vectors" in capsys.readouterr().out
     assert "bad.txt" not in out_csv.read_text()
+
+
+@pytest.mark.parametrize(
+    "keys, value",
+    [
+        (("trees",), 5),
+        (("trees",), [5]),
+        (("trees", 0, -1, 1), "a"),
+        (("trees", 0, -1, 1), float("nan")),
+        (("trees", 0, 0, 2), float("nan")),
+        (("hyperparams", "n_trees"), "1"),
+    ],
+    ids=["trees-int", "tree-int", "leaf-string", "leaf-nan", "threshold-nan", "n_trees-string"],
+)
+def test_model_info_corrupt_model_exit_3(tmp_path, capsys, keys, value):
+    doc = chain_model_doc(2, "left")
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["model-info", "--model", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: CorruptModel: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_model_info_deep_chain(tmp_path, capsys, side):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(chain_model_doc(5000, side)))
+    rc = main(["model-info", "--model", str(path)])
+    assert rc == 0
+    assert "total_nodes\t10001\n" in capsys.readouterr().out
+
+
+def test_eval_obfuscation_skips_bad_row(workspace, tmp_path, capsys):
+    corpus = Path(workspace["manifest"]).parent
+    lines = Path(workspace["manifest"]).read_text().splitlines()[1:]
+    (tmp_path / "junk.txt").write_text("invoke-bogus X Y\n")
+    manifest = _manifest(
+        tmp_path, [f"{corpus}/{line}" for line in lines] + ["junk.txt,ransomware,2016-01-01,x"]
+    )
+    _, ref_path = workspace["refs"][Granularity.Method]
+    rc = main(["eval-obfuscation", "--manifest", str(manifest), "--reference", str(ref_path),
+               "--n-trees", "5", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "class-encryption\tbaseline\tdetection_rate=" in capsys.readouterr().out
+
+
+def test_eval_temporal_bad_date_checked_before_manifest(workspace, tmp_path, capsys):
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(["eval-temporal", "--manifest", str(tmp_path / "missing.csv"),
+               "--reference", str(ref_path), "--train-cutoff", "2016-13-45",
+               "--bin", "late:2017-01-01:2017-02-01"])
+    assert rc == 2
+    assert "bad date" in capsys.readouterr().err

@@ -30,8 +30,8 @@ from apksift.forest import (
     Label,
     LabeledDataset,
     LabeledSample,
-    Leaf,
     RandomForestModel,
+    Tree,
     predict,
     train_forest,
 )
@@ -228,7 +228,7 @@ def test_random_split_curves_valid():
 def test_roc_population_excludes_third_class():
     # malware scores would pollute the ransomware-vs-benign sweep if included
     model = RandomForestModel(
-        trees=(Leaf((0.0, 0.0, 1.0)),),
+        trees=(Tree.from_nodes([("l", 0.0, 0.0, 1.0)], 1),),
         hyperparams=Hyperparams(n_trees=1),
         feature_dim=1,
         reference_fingerprint=FP,
@@ -242,7 +242,7 @@ def test_roc_population_excludes_third_class():
 
 def test_roc_one_vs_benign_missing_class():
     model = RandomForestModel(
-        trees=(Leaf((1.0, 0.0, 0.0)),),
+        trees=(Tree.from_nodes([("l", 1.0, 0.0, 0.0)], 1),),
         hyperparams=Hyperparams(n_trees=1),
         feature_dim=1,
         reference_fingerprint=FP,

@@ -26,9 +26,8 @@ from apksift.forest import (
     Label,
     LabeledDataset,
     LabeledSample,
-    Leaf,
     RandomForestModel,
-    Split,
+    Tree,
     best_split,
     cv_accuracy_table,
     dumps_model,
@@ -44,6 +43,8 @@ from apksift.forest import (
     train_forest,
     tree_rng,
 )
+
+from conftest import chain_model_doc
 
 FP = "testfp"
 
@@ -240,12 +241,12 @@ def test_depth_zero_single_leaf_prior():
     model = train_forest(data, hp)
     assert len(model.trees) == 1
     tree = model.trees[0]
-    assert isinstance(tree, Leaf)
+    assert len(tree.nodes) == 1 and tree.nodes[0][0] == "l"
     # the leaf carries the bootstrap resample's label distribution
     boot = tree_rng(9, 0).integers(0, len(data), size=len(data))
     labels = [data.samples[i].label for i in boot.tolist()]
     expected = tuple(labels.count(c) / len(labels) for c in CLASS_ORDER)
-    assert tree.distribution == expected
+    assert tree.nodes[0][1:] == expected
 
 
 def test_training_accuracy_on_separable_toy():
@@ -286,25 +287,17 @@ def test_monotone_leaf_property():
         boot = tree_rng(hp.seed, t).integers(0, len(data), size=len(data))
         reached: dict[int, list[int]] = {}
         for i in boot.tolist():
-            node = tree
-            while isinstance(node, Split):
-                node = node.left if X[i][node.feature_index] <= node.threshold else node.right
-            reached.setdefault(id(node), []).append(int(y[i]))
-        leaves = []
-
-        def collect(node):
-            if isinstance(node, Split):
-                collect(node.left)
-                collect(node.right)
-            else:
-                leaves.append(node)
-
-        collect(tree)
-        for leaf in leaves:
-            labels = reached[id(leaf)]
+            at = 0
+            while tree.nodes[at][0] == "s":
+                _, feature, threshold = tree.nodes[at]
+                at = at + 1 if X[i][feature] <= threshold else tree.right[at]
+            reached.setdefault(at, []).append(int(y[i]))
+        leaves = [at for at, node in enumerate(tree.nodes) if node[0] == "l"]
+        for at in leaves:
+            labels = reached[at]
             n = len(labels)
             expected = tuple(labels.count(c) / n for c in range(3))
-            assert leaf.distribution == expected
+            assert tree.nodes[at][1:] == expected
 
 
 # -- prediction ----------------------------------------------------------------------
@@ -312,7 +305,7 @@ def test_monotone_leaf_property():
 
 def manual_model(*leaves, dim=2):
     return RandomForestModel(
-        trees=tuple(Leaf(d) for d in leaves),
+        trees=tuple(Tree.from_nodes([("l", *d)], dim) for d in leaves),
         hyperparams=Hyperparams(n_trees=len(leaves)),
         feature_dim=dim,
         reference_fingerprint=FP,
@@ -459,12 +452,18 @@ def test_bad_leaf_distribution_rejected():
 
     data = ds(separable_rows(4))
     doc = json.loads(dumps_model(train_forest(data, Hyperparams(n_trees=1, max_depth=0, seed=0))))
-    doc["trees"][0][0] = ["l", 0.9, 0.3, 0.3]  # sums to 1.5
-    with pytest.raises(CorruptModel):
-        loads_model(json.dumps(doc))
+    for leaf in (
+        ["l", 0.9, 0.3, 0.3],  # sums to 1.5
+        ["l", "a", 0.5, 0.5],
+        ["l", math.nan, 0.5, 0.5],
+    ):
+        doc["trees"][0][0] = leaf
+        with pytest.raises(CorruptModel):
+            loads_model(json.dumps(doc))
 
 
 def test_out_of_range_split_feature_rejected():
+    """An out-of-range split feature, or a NaN threshold, is rejected."""
     import json
 
     data = ds(separable_rows(6))
@@ -472,12 +471,43 @@ def test_out_of_range_split_feature_rejected():
     flat = doc["trees"][0]
     for node in flat:
         if node[0] == "s":
-            node[1] = 999
             break
     else:
         pytest.skip("tree degenerated to a leaf")
-    with pytest.raises(CorruptModel):
-        loads_model(json.dumps(doc))
+    good = list(node)
+    for field, value in ((1, 999), (2, math.nan)):
+        node[:] = good
+        node[field] = value
+        with pytest.raises(CorruptModel):
+            loads_model(json.dumps(doc))
+
+
+def test_malformed_trees_and_hyperparams_rejected():
+    import json
+
+    data = ds(separable_rows(4))
+    good = dumps_model(train_forest(data, Hyperparams(n_trees=1, seed=0)))
+    for key, value in (("trees", 5), ("trees", [5]), ("trees", [[]]), ("hyperparams", "x")):
+        doc = json.loads(good)
+        doc[key] = value
+        with pytest.raises(CorruptModel):
+            loads_model(json.dumps(doc))
+    for name, value in (("n_trees", "1"), ("seed", 0.5), ("max_depth", "3")):
+        doc = json.loads(good)
+        doc["hyperparams"][name] = value
+        with pytest.raises(CorruptModel):
+            loads_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_deep_chain_loads_and_predicts(side):
+    import json
+
+    model = loads_model(json.dumps(chain_model_doc(5000, side, FP)))
+    assert len(model.trees[0].nodes) == 10001
+    x = fv(0) if side == "left" else fv(1)
+    assert predict_proba(model, x) == (0.0, 0.0, 1.0)
+    assert loads_model(dumps_model(model)) == model
 
 
 # -- dataset wrapper --------------------------------------------------------------------
