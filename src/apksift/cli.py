@@ -325,7 +325,7 @@ def cmd_eval_temporal(args) -> int:
 
 def cmd_eval_obfuscation(args) -> int:
     ref = _resolve_reference(args)
-    samples = load_invoke_samples(args.manifest, skip_errors=True)
+    samples = load_invoke_samples(args.manifest)
     kind = ObfuscationKind(args.kind)
     if args.stub:
         t = ObfuscationTransform(kind, tuple(load_invoke_list_text(args.stub)), args.seed)

@@ -730,12 +730,11 @@ def _invokes_from_file(path, strict: bool = False) -> tuple[InvokeSite, ...]:
     return tuple(sites)
 
 
-def load_invoke_samples(
-    manifest_path, strict: bool = False, skip_errors: bool = False
-) -> list[InvokeSample]:
+def load_invoke_samples(manifest_path, strict: bool = False) -> list[InvokeSample]:
     """Manifest rows as invoke-level samples (needed by obfuscation protocols);
-    skip_errors as in load_labeled_dataset."""
-    loaded, _ = _load_rows(manifest_path, partial(_invokes_from_file, strict=strict), skip_errors)
+    unanalyzable rows are logged and dropped, as load_labeled_dataset's skip_errors does."""
+    load = partial(_invokes_from_file, strict=strict)
+    loaded, _ = _load_rows(manifest_path, load, skip_errors=True)
     return [InvokeSample(row.path, row.label, row.first_seen, sites) for row, sites in loaded]
 
 
