@@ -20,7 +20,7 @@ from apksift.evaluation import (
     random_split_eval,
     temporal_eval,
 )
-from apksift.obfuscation import ObfuscationKind, default_transform, transform
+from apksift.obfuscation import ObfuscationKind, default_transform
 from apksift.reference import Granularity
 from apksift.synth import (
     DEFAULT_TEMPORAL_BINS,
@@ -80,16 +80,11 @@ def run_obfuscation(out: Path, seed: int, per_class: int) -> None:
         line = [f"  {g.value:8s}"]
         for kind in ObfuscationKind:
             t = default_transform(kind, seed=seed)
-            fn = lambda invokes: transform(invokes, t)
-            base = obfuscation_eval(
-                samples, ref, fn, plus_one=False, transform_kind=kind.value, seed=seed
-            )
+            base = obfuscation_eval(samples, ref, t, plus_one=False, seed=seed)
             emit_report(base, "text", out / f"obfuscation_{kind.value}_{g.value}.json")
             cell = f"{kind.value}={base.detection_rate:.3f}"
             if kind is ObfuscationKind.ClassEncryption:
-                plus = obfuscation_eval(
-                    samples, ref, fn, plus_one=True, transform_kind=kind.value, seed=seed
-                )
+                plus = obfuscation_eval(samples, ref, t, plus_one=True, seed=seed)
                 emit_report(
                     plus, "text", out / f"obfuscation_{kind.value}_plus_one_{g.value}.json"
                 )

@@ -62,13 +62,8 @@ from .forest import (
     split_counts_by_feature,
     train_forest,
 )
-from .obfuscation import ObfuscationKind, ObfuscationTransform, default_transform, transform
-from .reference import (
-    REFERENCE_FILENAMES,
-    Granularity,
-    load_reference,
-    load_reference_auto,
-)
+from .obfuscation import ObfuscationKind, ObfuscationTransform, default_transform
+from .reference import REFERENCE_FILENAMES, Granularity, load_reference
 from .invokes import load_invoke_list_text
 
 logger = logging.getLogger("apksift")
@@ -96,9 +91,8 @@ _USAGE_ERRORS = (
 
 def _resolve_reference(args):
     if args.reference:
-        if args.granularity:
-            return load_reference(args.reference, Granularity.from_token(args.granularity))
-        return load_reference_auto(args.reference)
+        g = Granularity.from_token(args.granularity) if args.granularity else None
+        return load_reference(args.reference, g)
     env_dir = os.environ.get(REFERENCE_ENV)
     if not env_dir:
         raise UsageError(f"--reference not given and {REFERENCE_ENV} is unset")
@@ -334,13 +328,7 @@ def cmd_eval_obfuscation(args) -> int:
     arms = [False, True] if args.plus_one else [False]
     for plus_one in arms:
         report = obfuscation_eval(
-            samples,
-            ref,
-            lambda invokes: transform(invokes, t),
-            plus_one=plus_one,
-            transform_kind=kind.value,
-            seed=args.seed,
-            n_trees=args.n_trees,
+            samples, ref, t, plus_one=plus_one, seed=args.seed, n_trees=args.n_trees
         )
         tag = "plus_one" if plus_one else "baseline"
         print(f"{kind.value}\t{tag}\tdetection_rate={report.detection_rate:.4f}")
@@ -349,6 +337,8 @@ def cmd_eval_obfuscation(args) -> int:
 
 
 def cmd_rank(args) -> int:
+    if args.splits < 1:
+        raise UsageError(f"--splits {args.splits} < 1")
     ref = _resolve_reference(args)
     dataset, _ = load_labeled_dataset(args.manifest, ref, skip_errors=True)
     halves = []

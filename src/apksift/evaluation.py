@@ -16,12 +16,12 @@ import csv
 import json
 import logging
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -35,9 +35,7 @@ from .errors import (
     TooFewSamples,
     UsageError,
 )
-from .apk import open_apk
-from .dex import extract_invokes, parse_dex
-from .features import extract_features, extract_from_sample, is_invoke_list_path
+from .features import extract_features, extract_from_sample, invokes_from_sample
 from .forest import (
     CLASS_INDEX,
     CLASS_ORDER,
@@ -46,19 +44,24 @@ from .forest import (
     LabeledDataset,
     LabeledSample,
     RandomForestModel,
+    best_grid_value,
+    cv_accuracy_table,
     derive_seed,
     predict,
     predict_proba,
-    select_n_trees,
     train_forest,
 )
-from .invokes import InvokeSite, load_invoke_list_text
+from .invokes import InvokeSite
+from .obfuscation import ObfuscationTransform, transform
 from .reference import ApiReferenceList
 
 logger = logging.getLogger(__name__)
 
 RANSOMWARE_CURVE = "ransomware_vs_benign"
 MALWARE_CURVE = "malware_vs_benign"
+
+# share of the temporal training partition held out to fit the threshold
+HOLDOUT_FRACTION = 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +216,8 @@ def stratified_split_indices(
 def split_dataset(
     data: LabeledDataset, fraction: float, rng: np.random.Generator
 ) -> tuple[LabeledDataset, LabeledDataset]:
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"split fraction {fraction} is not strictly between 0 and 1")
     labels = [s.label for s in data]
     train_idx, test_idx = stratified_split_indices(labels, fraction, rng)
     train, test = data.subset(train_idx), data.subset(test_idx)
@@ -309,11 +314,12 @@ def random_split_eval(
     seed: int = 0,
     grid: Sequence[int] = (10, 25, 50),
     target_fpr: float = 0.01,
-    hp_base: Hyperparams | None = None,
     cv_folds: int = 10,
 ) -> RandomSplitReport:
     """Stratified split, per-split n_trees selection, two ROC curves per repeat."""
     t0 = time.perf_counter()
+    if repeats < 1:
+        raise ConfigError(f"repeats {repeats} < 1")
     counts = data.class_counts()
     if any(c < 2 for c in counts):
         raise TooFewSamples(f"every class needs >= 2 samples, got {counts}")
@@ -321,11 +327,10 @@ def random_split_eval(
     for r in range(repeats):
         rng = np.random.default_rng((seed, r, 7))
         train, test = split_dataset(data, fraction, rng)
-        n_trees = select_n_trees(
-            train, grid, seed=derive_seed(seed, r, 11), n_folds=cv_folds, hp_base=hp_base
+        n_trees = best_grid_value(
+            cv_accuracy_table(train, grid, seed=derive_seed(seed, r, 11), n_folds=cv_folds)
         )
-        hp = replace(hp_base or Hyperparams(), n_trees=n_trees, seed=derive_seed(seed, r, 13))
-        model = train_forest(train, hp)
+        model = train_forest(train, Hyperparams(n_trees=n_trees, seed=derive_seed(seed, r, 13)))
         curves = {
             RANSOMWARE_CURVE: roc_one_vs_benign(model, test, Label.Ransomware),
             MALWARE_CURVE: roc_one_vs_benign(model, test, Label.GenericMalware),
@@ -400,10 +405,8 @@ def temporal_eval(
     data: LabeledDataset,
     spec: TemporalSplitSpec,
     target_fpr: float = 0.01,
-    holdout_fraction: float = 0.2,
     seed: int = 0,
     n_trees: int = 50,
-    hp_base: Hyperparams | None = None,
 ) -> TemporalReport:
     """Train once on the pre-cutoff partition; report per-bin detection.
 
@@ -443,9 +446,8 @@ def temporal_eval(
 
     partition = LabeledDataset(train_samples)
     rng = np.random.default_rng((seed, 17))
-    fit_part, holdout = split_dataset(partition, 1.0 - holdout_fraction, rng)
-    hp = replace(hp_base or Hyperparams(), n_trees=n_trees, seed=derive_seed(seed, 19))
-    model = train_forest(fit_part, hp)
+    fit_part, holdout = split_dataset(partition, 1.0 - HOLDOUT_FRACTION, rng)
+    model = train_forest(fit_part, Hyperparams(n_trees=n_trees, seed=derive_seed(seed, 19)))
     curve = roc_one_vs_benign(model, holdout, Label.Ransomware)
     threshold = operating_point(curve, target_fpr)
 
@@ -473,7 +475,7 @@ def temporal_eval(
         params={
             "d_tr": spec.d_tr.isoformat(),
             "target_fpr": target_fpr,
-            "holdout_fraction": holdout_fraction,
+            "holdout_fraction": HOLDOUT_FRACTION,
             "n_trees": n_trees,
         },
         threshold=threshold,
@@ -495,23 +497,22 @@ def temporal_eval(
 def obfuscation_eval(
     samples: Sequence[InvokeSample],
     ref: ApiReferenceList,
-    transform: Callable[[Sequence[InvokeSite]], list[InvokeSite]],
+    t: ObfuscationTransform,
     plus_one: bool,
-    transform_kind: str = "custom",
     seed: int = 0,
     n_trees: int = 50,
-    hp_base: Hyperparams | None = None,
 ) -> ObfuscationReport:
-    """Train on originals, classify every transformed ransomware sample.
+    """Train on originals, classify every ransomware sample transformed by t.
 
     With plus_one, exactly one transformed sample (seeded choice) joins the
     training set labeled Ransomware, mirroring a single-sample injection.
+    The report's transform_kind is t's kind.
     """
     t0 = time.perf_counter()
     ransomware = [s for s in samples if s.label is Label.Ransomware]
     if not ransomware:
         raise EmptyBin("ransomware")
-    transformed = {s.sample_id: extract_features(transform(s.invokes), ref) for s in ransomware}
+    transformed = {s.sample_id: extract_features(transform(s.invokes, t), ref) for s in ransomware}
 
     train_rows = list(dataset_from_invoke_samples(samples, ref))
     injected_id = None
@@ -523,8 +524,7 @@ def obfuscation_eval(
             LabeledSample(f"{pick.sample_id}+obf", transformed[pick.sample_id], Label.Ransomware)
         )
     train = LabeledDataset(train_rows)
-    hp = replace(hp_base or Hyperparams(), n_trees=n_trees, seed=derive_seed(seed, 29))
-    model = train_forest(train, hp)
+    model = train_forest(train, Hyperparams(n_trees=n_trees, seed=derive_seed(seed, 29)))
     detected = sum(1 for fv in transformed.values() if predict(model, fv) is Label.Ransomware)
     return ObfuscationReport(
         protocol="obfuscation",
@@ -532,7 +532,7 @@ def obfuscation_eval(
         seed=seed,
         reference_fingerprint=ref.fingerprint,
         params={"n_trees": n_trees, "plus_one": plus_one},
-        transform_kind=transform_kind,
+        transform_kind=t.kind.value,
         plus_one=plus_one,
         injected_id=injected_id,
         n_transformed=len(transformed),
@@ -720,21 +720,10 @@ def _load_rows(manifest_path, load, skip_errors: bool) -> tuple[list, int]:
     return loaded, len(rows) - len(loaded)
 
 
-def _invokes_from_file(path, strict: bool = False) -> tuple[InvokeSite, ...]:
-    if is_invoke_list_path(path):
-        return tuple(load_invoke_list_text(path))
-    package = open_apk(path)
-    sites: list[InvokeSite] = []
-    for blob in package.dex_blobs:
-        sites.extend(extract_invokes(parse_dex(blob, strict=strict)))
-    return tuple(sites)
-
-
-def load_invoke_samples(manifest_path, strict: bool = False) -> list[InvokeSample]:
+def load_invoke_samples(manifest_path) -> list[InvokeSample]:
     """Manifest rows as invoke-level samples (needed by obfuscation protocols);
     unanalyzable rows are logged and dropped, as load_labeled_dataset's skip_errors does."""
-    load = partial(_invokes_from_file, strict=strict)
-    loaded, _ = _load_rows(manifest_path, load, skip_errors=True)
+    loaded, _ = _load_rows(manifest_path, invokes_from_sample, skip_errors=True)
     return [InvokeSample(row.path, row.label, row.first_seen, sites) for row, sites in loaded]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .apk import open_apk
-from .dex import count_invoke_targets, parse_dex
+from .dex import count_invoke_targets, extract_invokes, parse_dex
 from .errors import IoFailure
 from .invokes import InvokeSite, load_invoke_list_text
 from .reference import ApiReferenceList, key_of
@@ -87,6 +87,15 @@ def extract_from_sample(path, ref: ApiReferenceList, strict: bool = False) -> Fe
     if is_invoke_list_path(path):
         return extract_features(load_invoke_list_text(path), ref)
     return extract_from_apk(path, ref, strict=strict)
+
+
+def invokes_from_sample(path) -> tuple[InvokeSite, ...]:
+    """Every invoke site of an apk (all DEX blobs in order), or of an invoke-list fixture."""
+    if is_invoke_list_path(path):
+        return tuple(load_invoke_list_text(path))
+    return tuple(
+        site for blob in open_apk(path).dex_blobs for site in extract_invokes(parse_dex(blob))
+    )
 
 
 def write_features_csv(

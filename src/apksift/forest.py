@@ -24,7 +24,7 @@ import enum
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from datetime import date
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -454,22 +454,6 @@ def stratified_folds(
     return [np.array(sorted(f), dtype=np.int64) for f in folds]
 
 
-def select_n_trees(
-    data: LabeledDataset,
-    grid: Sequence[int],
-    seed: int = 0,
-    n_folds: int = 10,
-    hp_base: Hyperparams | None = None,
-) -> int:
-    """Pick the grid value maximizing mean stratified CV accuracy.
-
-    Ties break toward the smaller value. Folds whose training partition
-    degenerates to a single class are skipped from the average.
-    """
-    table = cv_accuracy_table(data, grid, seed=seed, n_folds=n_folds, hp_base=hp_base)
-    return best_grid_value(table)
-
-
 def best_grid_value(table: dict[int, float]) -> int:
     """The grid value with the highest CV accuracy; ties go to the smaller value."""
     best_value, best_acc = None, -1.0
@@ -484,9 +468,14 @@ def cv_accuracy_table(
     grid: Sequence[int],
     seed: int = 0,
     n_folds: int = 10,
-    hp_base: Hyperparams | None = None,
 ) -> dict[int, float]:
-    """Mean stratified-CV accuracy per grid value (same accounting as selection)."""
+    """Mean stratified-CV accuracy per grid value.
+
+    Folds whose training partition degenerates to a single class are skipped
+    from the average.
+    """
+    if n_folds < 2:
+        raise InvalidHyperparams(f"cv folds {n_folds} < 2")
     if len(data) < n_folds:
         raise TooFewSamples(f"{len(data)} samples < {n_folds} folds")
     if not grid:
@@ -494,7 +483,6 @@ def cv_accuracy_table(
     values = sorted(set(int(v) for v in grid))
     if values[0] < 1:
         raise InvalidHyperparams(f"n_trees {values[0]} < 1")
-    base = hp_base if hp_base is not None else Hyperparams()
     _, y = data.to_arrays()
     folds = stratified_folds(y, n_folds, np.random.default_rng((seed, 101)))
     all_idx = np.arange(len(data))
@@ -509,8 +497,7 @@ def cv_accuracy_table(
             train = data.subset(all_idx[train_mask].tolist())
             if sum(1 for c in train.class_counts() if c > 0) < 2:
                 continue
-            hp = replace(base, n_trees=v, seed=derive_seed(seed, v, k))
-            model = train_forest(train, hp)
+            model = train_forest(train, Hyperparams(n_trees=v, seed=derive_seed(seed, v, k)))
             test = data.subset(fold.tolist())
             hits = sum(1 for s in test if predict(model, s.features) is s.label)
             accs.append(hits / len(test))
@@ -599,7 +586,10 @@ def loads_model(text: str) -> RandomForestModel:
         value = getattr(hp, f.name)
         if type(value) is not int and not (value is None and f.default is None):
             raise CorruptModel(f"hyperparam {f.name} {value!r}")
-    hp.validate()
+    try:
+        hp.validate()
+    except InvalidHyperparams as exc:
+        raise CorruptModel(f"hyperparams: {exc}") from exc
     if not isinstance(raw_trees, list) or len(raw_trees) != hp.n_trees:
         raise CorruptModel(f"trees is not a list of n_trees={hp.n_trees} trees")
     return RandomForestModel(

@@ -127,8 +127,12 @@ def make_reference(
     return _build(granularity, enumerate(keys, start=1), api_level)
 
 
-def _load(path, expected: Granularity | None) -> ApiReferenceList:
-    """Read a reference-list file once; ``expected=None`` trusts its header."""
+def load_reference(path, expected: Granularity | None = None) -> ApiReferenceList:
+    """Load a reference-list file at the granularity its header declares.
+
+    With ``expected`` set, a header that declares another granularity is a
+    GranularityMismatch; with ``expected=None`` the header is trusted.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -173,16 +177,6 @@ def _load(path, expected: Granularity | None) -> ApiReferenceList:
     if ref.duplicates_dropped:
         logger.warning("%s: dropped %d duplicate entries", path, ref.duplicates_dropped)
     return ref
-
-
-def load_reference_auto(path) -> ApiReferenceList:
-    """Load a reference list trusting the granularity its header declares."""
-    return _load(path, None)
-
-
-def load_reference(path, expected_granularity: Granularity) -> ApiReferenceList:
-    """Load a reference-list file, checking its declared granularity."""
-    return _load(path, expected_granularity)
 
 
 def save_reference(ref: ApiReferenceList, path) -> None:

@@ -252,15 +252,8 @@ def test_criterion_7_obfuscation_analog():
     # class encryption: one injected training sample flips detection, paired seed
     ref = reference_from_vocab(EXPERIMENT_VOCAB, Granularity.Method)
     t_class = default_transform(ObfuscationKind.ClassEncryption, seed=SEED)
-    fn = lambda invokes: transform(invokes, t_class)
-    base = obfuscation_eval(
-        samples, ref, fn, plus_one=False, transform_kind="class-encryption",
-        seed=SEED, n_trees=50,
-    )
-    plus = obfuscation_eval(
-        samples, ref, fn, plus_one=True, transform_kind="class-encryption",
-        seed=SEED, n_trees=50,
-    )
+    base = obfuscation_eval(samples, ref, t_class, plus_one=False, seed=SEED, n_trees=50)
+    plus = obfuscation_eval(samples, ref, t_class, plus_one=True, seed=SEED, n_trees=50)
     assert plus.detection_rate >= 0.95, f"plus-one rate {plus.detection_rate:.3f}"
     assert base.detection_rate < plus.detection_rate
     ok(

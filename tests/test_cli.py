@@ -353,8 +353,15 @@ def test_extract_skips_non_utf8_fixture(workspace, tmp_path, capsys):
         (("trees", 0, -1, 1), float("nan")),
         (("trees", 0, 0, 2), float("nan")),
         (("hyperparams", "n_trees"), "1"),
+        (("hyperparams", "min_samples_leaf"), 0),
+        (("hyperparams", "seed"), -1),
+        (("hyperparams", "n_trees"), 0),
+        (("hyperparams", "max_depth"), -2),
+        (("hyperparams", "features_per_split"), 0),
     ],
-    ids=["trees-int", "tree-int", "leaf-string", "leaf-nan", "threshold-nan", "n_trees-string"],
+    ids=["trees-int", "tree-int", "leaf-string", "leaf-nan", "threshold-nan", "n_trees-string",
+         "min_samples_leaf-0", "seed-negative", "n_trees-0", "max_depth-negative",
+         "features_per_split-0"],
 )
 def test_model_info_corrupt_model_exit_3(tmp_path, capsys, keys, value):
     doc = chain_model_doc(2, "left")
@@ -401,3 +408,33 @@ def test_eval_temporal_bad_date_checked_before_manifest(workspace, tmp_path, cap
                "--bin", "late:2017-01-01:2017-02-01"])
     assert rc == 2
     assert "bad date" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("train", ["--cv-folds", "0"]),
+        ("train", ["--cv-folds", "1"]),
+        ("train", ["--cv-folds", "-3"]),
+        ("eval-random", ["--repeats", "0"]),
+        ("eval-random", ["--repeats", "-2"]),
+        ("eval-random", ["--fraction", "nan"]),
+        ("eval-random", ["--fraction", "1.5"]),
+        ("rank", ["--splits", "0"]),
+        ("rank", ["--splits", "-1"]),
+        ("rank", ["--fraction", "0"]),
+    ],
+    ids=lambda v: "=".join(v).lstrip("-") if isinstance(v, list) else v,
+)
+def test_protocol_argument_out_of_range_exit_2(workspace, tmp_path, capsys, command, extra):
+    _, ref_path = workspace["refs"][Granularity.Package]
+    argv = [command, "--manifest", str(workspace["manifest"]), "--reference", str(ref_path)]
+    if command == "train":
+        argv += ["--out-model", str(tmp_path / "m.json"), "--grid", "5"]
+    if command == "eval-random":
+        argv += ["--grid", "5", "--out", str(tmp_path)]
+    rc = main(argv + extra)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err

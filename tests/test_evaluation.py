@@ -35,6 +35,7 @@ from apksift.forest import (
     predict,
     train_forest,
 )
+from apksift.obfuscation import ObfuscationKind, default_transform
 from apksift.reference import Granularity
 from apksift.synth import generate_corpus, generate_temporal_corpus, reference_from_vocab
 
@@ -354,8 +355,8 @@ def test_obfuscation_identity_equals_in_training_recall():
     samples = invoke_corpus(seed=2)
     ref = reference_from_vocab(EXPERIMENT_VOCAB, Granularity.Package)
     report = obfuscation_eval(
-        samples, ref, lambda invokes: list(invokes), plus_one=False,
-        transform_kind="identity", seed=6, n_trees=15,
+        samples, ref, default_transform(ObfuscationKind.StringEncryption), plus_one=False,
+        seed=6, n_trees=15,
     )
     # recompute in-training ransomware recall with the same training seed
     from apksift.forest import derive_seed
@@ -373,7 +374,9 @@ def test_obfuscation_no_ransomware_raises_empty_bin():
     samples = [s for s in invoke_corpus(seed=1) if s.label is not R]
     ref = reference_from_vocab(EXPERIMENT_VOCAB, Granularity.Package)
     with pytest.raises(EmptyBin):
-        obfuscation_eval(samples, ref, lambda i: list(i), plus_one=False)
+        obfuscation_eval(
+            samples, ref, default_transform(ObfuscationKind.StringEncryption), plus_one=False
+        )
 
 
 # -- report serialization ------------------------------------------------------------------

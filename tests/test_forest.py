@@ -28,6 +28,7 @@ from apksift.forest import (
     LabeledSample,
     RandomForestModel,
     Tree,
+    best_grid_value,
     best_split,
     cv_accuracy_table,
     dumps_model,
@@ -39,7 +40,6 @@ from apksift.forest import (
     predict_proba,
     rank_features,
     save_model,
-    select_n_trees,
     train_forest,
     tree_rng,
 )
@@ -352,19 +352,19 @@ def test_fingerprint_mismatch_on_predict():
 
 def test_select_singleton_grid():
     data = ds(separable_rows(5))
-    assert select_n_trees(data, [1], seed=0) == 1
+    assert best_grid_value(cv_accuracy_table(data, [1], seed=0)) == 1
 
 
 def test_select_duplicate_grid_collapses():
     data = ds(separable_rows(5))
-    assert select_n_trees(data, [10, 10], seed=0) == 10
+    assert best_grid_value(cv_accuracy_table(data, [10, 10], seed=0)) == 10
 
 
 def test_select_prefers_smaller_on_tie_and_matches_cv_table():
     data = ds(separable_rows(6))
     grid = [1, 100]
     table = cv_accuracy_table(data, grid, seed=1)
-    chosen = select_n_trees(data, grid, seed=1)
+    chosen = best_grid_value(cv_accuracy_table(data, grid, seed=1))
     if table[100] > table[1]:
         assert chosen == 100
     else:
@@ -374,7 +374,7 @@ def test_select_prefers_smaller_on_tie_and_matches_cv_table():
 def test_select_too_few_samples():
     small = ds([((i,), T if i % 2 else R) for i in range(9)])
     with pytest.raises(TooFewSamples):
-        select_n_trees(small, [5])
+        cv_accuracy_table(small, [5])
 
 
 # -- feature ranking -----------------------------------------------------------------

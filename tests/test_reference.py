@@ -10,7 +10,6 @@ from apksift.reference import (
     Granularity,
     key_of,
     load_reference,
-    load_reference_auto,
     make_reference,
     project,
     save_reference,
@@ -67,12 +66,12 @@ def test_missing_header(tmp_path):
     with pytest.raises(GranularityMismatch):
         load_reference(path, Granularity.Package)
     with pytest.raises(GranularityMismatch):
-        load_reference_auto(path)
+        load_reference(path)
 
 
 def test_conflicting_headers_rejected_by_both_loaders(tmp_path):
     path = write(tmp_path, "# granularity: package\njava/io\n# granularity: class\n")
-    for load in (load_reference_auto, lambda p: load_reference(p, Granularity.Class)):
+    for load in (load_reference, lambda p: load_reference(p, Granularity.Class)):
         with pytest.raises(GranularityMismatch, match="line 3 declares class"):
             load(path)
 
@@ -80,14 +79,14 @@ def test_conflicting_headers_rejected_by_both_loaders(tmp_path):
 def test_non_utf8_file_rejected_by_both_loaders(tmp_path):
     path = tmp_path / "ref.txt"
     path.write_bytes(b"# granularity: package\njava/io\n\xff\n")
-    for load in (load_reference_auto, lambda p: load_reference(p, Granularity.Package)):
+    for load in (load_reference, lambda p: load_reference(p, Granularity.Package)):
         with pytest.raises(GranularityMismatch, match="utf-8"):
             load(path)
 
 
 def test_load_auto_uses_header(tmp_path):
     path = write(tmp_path, "# granularity: class\njava/io/File\n")
-    ref = load_reference_auto(path)
+    ref = load_reference(path)
     assert ref.granularity is Granularity.Class
 
 
