@@ -8,7 +8,6 @@ archives are rejected up front.
 
 from __future__ import annotations
 
-import os
 import re
 import zipfile
 from dataclasses import dataclass
@@ -22,9 +21,7 @@ _DEX_ENTRY = re.compile(r"^classes([2-9][0-9]*)?\.dex$")
 class ApkPackage:
     """An opened application package: its DEX payloads, in entry-name order."""
 
-    path: str
     dex_blobs: tuple[bytes, ...]
-    total_size_bytes: int
 
 
 def open_apk(source) -> ApkPackage:
@@ -35,16 +32,15 @@ def open_apk(source) -> ApkPackage:
     IoFailure on OS errors.
     """
     if hasattr(source, "read"):
-        return _open_apk_fileobj(source, getattr(source, "name", "<stream>"), None)
+        return _open_apk_fileobj(source, getattr(source, "name", "<stream>"))
     try:
-        size = os.path.getsize(source)
         with open(source, "rb") as fh:
-            return _open_apk_fileobj(fh, os.fspath(source), size)
+            return _open_apk_fileobj(fh, str(source))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
 
 
-def _open_apk_fileobj(fh, label: str, size: int | None) -> ApkPackage:
+def _open_apk_fileobj(fh, label: str) -> ApkPackage:
     try:
         zf = zipfile.ZipFile(fh)
     except zipfile.BadZipFile as exc:
@@ -61,9 +57,4 @@ def _open_apk_fileobj(fh, label: str, size: int | None) -> ApkPackage:
             raise NotAZipArchive(f"{label}: {exc}") from exc
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
-    if size is None:
-        try:
-            size = fh.seek(0, os.SEEK_END)
-        except OSError:
-            size = 0
-    return ApkPackage(path=label, dex_blobs=blobs, total_size_bytes=size)
+    return ApkPackage(dex_blobs=blobs)

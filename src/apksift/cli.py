@@ -49,6 +49,8 @@ from .evaluation import (
 )
 from .features import extract_from_sample, write_features_csv
 from .forest import (
+    CLASS_ORDER,
+    FIXED_HYPERPARAMS,
     MODEL_FORMAT_VERSION,
     Hyperparams,
     Label,
@@ -193,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_scan(args) -> int:
+    if args.top < 0:
+        raise UsageError(f"--top {args.top} < 0")
     ref = _resolve_reference(args)
     model = load_model(args.model)
     if model.reference_fingerprint != ref.fingerprint:
@@ -339,6 +343,8 @@ def cmd_eval_obfuscation(args) -> int:
 def cmd_rank(args) -> int:
     if args.splits < 1:
         raise UsageError(f"--splits {args.splits} < 1")
+    if args.top < 0:
+        raise UsageError(f"--top {args.top} < 0")
     ref = _resolve_reference(args)
     dataset, _ = load_labeled_dataset(args.manifest, ref, skip_errors=True)
     halves = []
@@ -359,13 +365,12 @@ def cmd_model_info(args) -> int:
     n_nodes = sum(len(tree.nodes) for tree in model.trees)
     print(f"format_version\t{MODEL_FORMAT_VERSION}")
     print(f"tool_version\t{__version__}")
-    print(f"classes\t{','.join(l.value for l in model.class_order)}")
+    print(f"classes\t{','.join(l.value for l in CLASS_ORDER)}")
     print(f"reference_fingerprint\t{model.reference_fingerprint}")
     print(f"feature_dim\t{model.feature_dim}")
     print(f"n_trees\t{hp.n_trees}")
-    print(f"max_depth\t{hp.max_depth}")
-    print(f"min_samples_leaf\t{hp.min_samples_leaf}")
-    print(f"features_per_split\t{hp.features_per_split}")
+    for name, value in FIXED_HYPERPARAMS.items():
+        print(f"{name}\t{value}")
     print(f"seed\t{hp.seed}")
     print(f"total_nodes\t{n_nodes}")
     return 0

@@ -1,8 +1,7 @@
 """Dalvik instruction-stream geometry.
 
-Instruction sizes (in 16-bit code units) for all 256 opcode bytes, plus the
-invoke-opcode maps. The size table was generated from the instruction-format
-tables published at
+Instruction sizes (in 16-bit code units) for all 256 opcode bytes. The size
+table was generated from the instruction-format tables published at
 https://source.android.com/docs/core/runtime/instruction-formats and covers
 DEX versions 035 through 039; spot values are asserted by the test suite.
 
@@ -38,37 +37,14 @@ OPCODE_UNITS = (
 # stream walker (size * 2 = bytes consumed).
 OPCODE_BYTES = bytes(u * 2 for u in OPCODE_UNITS)
 
-# invoke-kind family: 0x6e..0x72 are format 35c, 0x74..0x78 are format 3rc.
-# 0x73 (between the two runs) is unused in standard DEX.
-INVOKE_35C_FIRST = 0x6E
-INVOKE_35C_LAST = 0x72
-INVOKE_3RC_FIRST = 0x74
-INVOKE_3RC_LAST = 0x78
-UNUSED_73 = 0x73
-
 # invoke-polymorphic (0xfa/0xfb) and invoke-custom (0xfc/0xfd) exist from
 # DEX 038 on. They are size-skipped during stream walking but never counted
 # as call sites: the reference vocabularies target API level 25 where they
 # cannot occur.
-INVOKE_POLYMORPHIC = 0xFA
-INVOKE_CUSTOM = 0xFC
 
 PACKED_SWITCH_IDENT = 0x01  # high byte of first unit; full ident 0x0100
 SPARSE_SWITCH_IDENT = 0x02  # 0x0200
 FILL_ARRAY_IDENT = 0x03  # 0x0300
-
-OPCODE_NAMES_INVOKE = {
-    0x6E: "invoke-virtual",
-    0x6F: "invoke-super",
-    0x70: "invoke-direct",
-    0x71: "invoke-static",
-    0x72: "invoke-interface",
-    0x74: "invoke-virtual/range",
-    0x75: "invoke-super/range",
-    0x76: "invoke-direct/range",
-    0x77: "invoke-static/range",
-    0x78: "invoke-interface/range",
-}
 
 
 def payload_units(data: bytes, pos: int, end: int) -> int:

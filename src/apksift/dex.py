@@ -65,8 +65,8 @@ def read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
-def decode_mutf8(data: bytes) -> str:
-    """Decode a NUL-terminated modified-UTF-8 run.
+def decode_mutf8(data: bytes, start: int = 0) -> str:
+    """Decode the NUL-terminated modified-UTF-8 run that begins at ``start``.
 
     The two-byte form 0xC0 0x80 decodes to U+0000; there are no four-byte
     sequences (supplementary characters arrive as surrogate pairs, which are
@@ -75,16 +75,12 @@ def decode_mutf8(data: bytes) -> str:
     # ASCII fast path: MUTF-8 strings contain no NUL byte except the
     # terminator, so the first 0x00 delimits the run.
     try:
-        end = data.index(0)
+        end = data.index(0, start)
     except ValueError:
         raise InvalidSequence("missing NUL terminator") from None
-    chunk = data[:end]
+    chunk = data[start:end]
     if chunk.isascii():
         return chunk.decode("ascii")
-    return _decode_mutf8_slow(chunk)
-
-
-def _decode_mutf8_slow(chunk: bytes) -> str:
     units: list[int] = []
     i = 0
     n = len(chunk)
@@ -144,12 +140,7 @@ class _StringPool:
         if off >= len(blob):
             raise StructuralError(f"string_data_off {off} out of bounds")
         _, pos = read_uleb128(blob, off)  # utf16 length, unused for decoding
-        try:
-            end = blob.index(0, pos)
-        except ValueError:
-            raise InvalidSequence("unterminated string data") from None
-        chunk = blob[pos:end]
-        value = chunk.decode("ascii") if chunk.isascii() else _decode_mutf8_slow(chunk)
+        value = decode_mutf8(blob, pos)
         self._cache[index] = value
         return value
 
@@ -176,7 +167,6 @@ class DexFile:
     proto_table: tuple[tuple[int, int], ...]  # (return_type_idx, parameters_off)
     method_table: tuple[tuple[int, int, int], ...]  # (class_type_idx, name_str_idx, proto_idx)
     class_items: tuple[ClassItem, ...]
-    checksum_ok: bool | None
     blob: bytes = field(repr=False)
 
 
@@ -228,12 +218,10 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     if file_size > len(blob):
         raise StructuralError(f"file_size {file_size} exceeds blob ({len(blob)})")
 
-    checksum_ok: bool | None = None
     if strict:
         declared = struct.unpack_from("<I", blob, 8)[0]
         actual = zlib.adler32(blob[12:]) & 0xFFFFFFFF
-        checksum_ok = declared == actual
-        if not checksum_ok:
+        if declared != actual:
             raise ChecksumMismatch(f"header 0x{declared:08x} != computed 0x{actual:08x}")
 
     def table(off: int, count: int, item_size: int, what: str) -> None:
@@ -298,7 +286,6 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
         proto_table=tuple(proto_table),
         method_table=tuple(method_table),
         class_items=tuple(class_items),
-        checksum_ok=checksum_ok,
         blob=blob,
     )
     if strict:

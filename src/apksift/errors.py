@@ -118,10 +118,6 @@ class MissingClass(ApksiftError):
 class EmptyBin(ApksiftError):
     """A protocol step received zero samples."""
 
-    def __init__(self, label: str):
-        self.label = label
-        super().__init__(label)
-
 
 class ConfigError(ApksiftError):
     """Protocol configuration is inconsistent (e.g. train/test id overlap)."""

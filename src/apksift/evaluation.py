@@ -303,6 +303,11 @@ class ObfuscationReport:
     runtime_seconds: float = field(compare=False)
 
 
+def _check_target_fpr(target_fpr: float) -> None:
+    if not 0.0 <= target_fpr <= 1.0:  # also rejects NaN
+        raise ConfigError(f"target FPR {target_fpr} is not in [0, 1]")
+
+
 # ---------------------------------------------------------------------------
 # protocol 1: repeated random splits
 
@@ -318,6 +323,7 @@ def random_split_eval(
 ) -> RandomSplitReport:
     """Stratified split, per-split n_trees selection, two ROC curves per repeat."""
     t0 = time.perf_counter()
+    _check_target_fpr(target_fpr)
     if repeats < 1:
         raise ConfigError(f"repeats {repeats} < 1")
     counts = data.class_counts()
@@ -417,6 +423,7 @@ def temporal_eval(
     then reports the fraction of its ransomware scored at or above it.
     """
     t0 = time.perf_counter()
+    _check_target_fpr(target_fpr)
     train_samples: list[LabeledSample] = []
     for s in data:
         if s.label is not Label.Ransomware:
@@ -680,7 +687,6 @@ class ManifestRow:
     path: str
     label: Label
     first_seen: date | None
-    family: str
 
 
 def load_labeled_dataset(
@@ -728,8 +734,10 @@ def load_invoke_samples(manifest_path) -> list[InvokeSample]:
 
 
 def load_manifest(path) -> list[ManifestRow]:
-    """Parse a `path,label,first_seen,family` CSV; paths stay as written."""
+    """Parse a `path,label,first_seen,family` CSV; paths stay as written and
+    must be unique. The family column is optional and not read."""
     rows: list[ManifestRow] = []
+    seen: set[str] = set()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.DictReader(fh)
@@ -737,6 +745,10 @@ def load_manifest(path) -> list[ManifestRow]:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ConfigError(f"{path}: manifest needs columns path,label[,first_seen,family]")
             for lineno, row in enumerate(reader, start=2):
+                sample_path = row["path"].strip()
+                if sample_path in seen:
+                    raise ConfigError(f"{path}:{lineno}: duplicate path {sample_path!r}")
+                seen.add(sample_path)
                 try:
                     label = Label(row["label"].strip().lower())
                 except ValueError:
@@ -748,9 +760,7 @@ def load_manifest(path) -> list[ManifestRow]:
                     first_seen = date.fromisoformat(raw_date) if raw_date else None
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: bad first_seen {raw_date!r}") from None
-                rows.append(
-                    ManifestRow(row["path"].strip(), label, first_seen, (row.get("family") or "").strip())
-                )
+                rows.append(ManifestRow(sample_path, label, first_seen))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
     return rows

@@ -8,6 +8,11 @@ seed): tree t draws its bootstrap resample and all of its per-node feature
 subsets from a stream seeded by (seed, t), so adding trees never perturbs
 earlier ones.
 
+Growth follows Breiman's random forest and is not configurable: every tree
+is grown unpruned until each leaf is pure or no candidate split has positive
+gain, and each node draws ceil(sqrt(d)) candidate features without
+replacement. Only the number of trees and the seed are hyperparameters.
+
 Thresholds are midpoints between consecutive distinct feature values; ties
 in gain break toward the lowest feature index, then the lowest threshold.
 
@@ -108,23 +113,18 @@ class LabeledDataset:
         return LabeledDataset(self.samples[i] for i in indices)
 
 
+# The fixed growth rule (module docstring) as every model file records it.
+FIXED_HYPERPARAMS = {"max_depth": None, "min_samples_leaf": 1, "features_per_split": None}
+
+
 @dataclass(frozen=True)
 class Hyperparams:
     n_trees: int = 50
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    features_per_split: int | None = None  # None -> ceil(sqrt(d))
     seed: int = 0
 
     def validate(self) -> None:
         if self.n_trees < 1:
             raise InvalidHyperparams(f"n_trees {self.n_trees} < 1")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise InvalidHyperparams(f"max_depth {self.max_depth} < 0")
-        if self.min_samples_leaf < 1:
-            raise InvalidHyperparams(f"min_samples_leaf {self.min_samples_leaf} < 1")
-        if self.features_per_split is not None and self.features_per_split < 1:
-            raise InvalidHyperparams(f"features_per_split {self.features_per_split} < 1")
         if self.seed < 0:
             raise InvalidHyperparams(f"seed {self.seed} < 0")
 
@@ -188,7 +188,6 @@ class RandomForestModel:
     hyperparams: Hyperparams
     feature_dim: int
     reference_fingerprint: str
-    class_order: tuple[Label, ...] = CLASS_ORDER
 
 
 # -- entropy / information gain ---------------------------------------------
@@ -243,7 +242,6 @@ def _best_for_feature(
     labels: np.ndarray,
     total: tuple[int, int, int],
     h_total: float,
-    min_leaf: int = 1,
 ) -> tuple[float, float] | None:
     """Best (gain, threshold) for one feature; None if no positive-gain split.
 
@@ -260,13 +258,9 @@ def _best_for_feature(
     c1 = np.cumsum(sl == 1).tolist()
     c2 = np.cumsum(sl == 2).tolist()
     svl = sv.tolist()
-    n = len(svl)
     best_gain = 0.0
     best_thr = None
     for i in boundaries.tolist():
-        nl = i + 1
-        if nl < min_leaf or n - nl < min_leaf:
-            continue
         gain = _split_gain(total, (c0[i], c1[i], c2[i]), h_total)
         if gain > best_gain:
             best_gain = gain
@@ -287,7 +281,7 @@ def best_split(
     """
     X, y = data.to_arrays()
     candidates = sorted(set(int(i) for i in candidate_feature_indices))
-    best = _search(X, y, data.class_counts(), candidates, min_leaf=1)
+    best = _search(X, y, data.class_counts(), candidates)
     if best is None:
         raise NoUsefulSplit("no candidate feature/threshold has positive gain")
     gain, feature, threshold = best
@@ -299,14 +293,13 @@ def _search(
     y: np.ndarray,
     counts: tuple[int, int, int],
     candidates: Sequence[int],
-    min_leaf: int,
 ) -> tuple[float, int, float] | None:
     """Best (gain, feature, threshold) over ascending candidates; None if no
     positive-gain split. A gain tie keeps the earlier (lower) feature."""
     h_total = _entropy_of(counts)
     best: tuple[float, int, float] | None = None
     for f in candidates:
-        res = _best_for_feature(X[:, f], y, counts, h_total, min_leaf)
+        res = _best_for_feature(X[:, f], y, counts, h_total)
         if res is not None and (best is None or res[0] > best[0]):
             best = (res[0], f, res[1])
     return best
@@ -320,33 +313,27 @@ def _label_counts(y: np.ndarray) -> tuple[int, int, int]:
     return (int(b[0]), int(b[1]), int(b[2]))
 
 
-def _grow(
-    X: np.ndarray,
-    y: np.ndarray,
-    rng: np.random.Generator,
-    hp: Hyperparams,
-    m: int,
-) -> list[tuple]:
+def _grow(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, m: int) -> list[tuple]:
     """One tree's nodes in pre-order. The stack pops each left subtree before
     its right sibling, so nodes draw their feature subsets in pre-order."""
     nodes: list[tuple] = []
-    stack = [(X, y, 0)]
+    stack = [(X, y)]
     while stack:
-        X, y, depth = stack.pop()
+        X, y = stack.pop()
         counts = _label_counts(y)
         n = len(y)
         best = None
-        if not (max(counts) == n or n < 2 * hp.min_samples_leaf or depth == hp.max_depth):
+        if max(counts) < n:  # impure, hence n >= 2
             candidates = np.sort(rng.choice(X.shape[1], size=m, replace=False)).tolist()
-            best = _search(X, y, counts, candidates, hp.min_samples_leaf)
+            best = _search(X, y, counts, candidates)
         if best is None:
             nodes.append(("l", counts[0] / n, counts[1] / n, counts[2] / n))
             continue
         _, feature, threshold = best
         nodes.append(("s", feature, threshold))
         mask = X[:, feature] <= threshold
-        stack.append((X[~mask], y[~mask], depth + 1))
-        stack.append((X[mask], y[mask], depth + 1))
+        stack.append((X[~mask], y[~mask]))
+        stack.append((X[mask], y[mask]))
     return nodes
 
 
@@ -365,13 +352,12 @@ def train_forest(data: LabeledDataset, hp: Hyperparams) -> RandomForestModel:
     n, d = X.shape
     if d < 1:
         raise InvalidHyperparams("feature dimension is zero")
-    m = hp.features_per_split if hp.features_per_split is not None else math.isqrt(d - 1) + 1
-    m = min(m, d)
+    m = math.isqrt(d - 1) + 1  # ceil(sqrt(d)), never above d
     trees = []
     for t in range(hp.n_trees):
         rng = tree_rng(hp.seed, t)
         boot = rng.integers(0, n, size=n)
-        trees.append(Tree.from_nodes(_grow(X[boot], y[boot], rng, hp, m), d))
+        trees.append(Tree.from_nodes(_grow(X[boot], y[boot], rng, m), d))
     return RandomForestModel(
         trees=tuple(trees),
         hyperparams=hp,
@@ -542,10 +528,10 @@ def dumps_model(model: RandomForestModel) -> str:
     doc = {
         "format": MODEL_FORMAT,
         "format_version": MODEL_FORMAT_VERSION,
-        "class_order": [label.value for label in model.class_order],
+        "class_order": [label.value for label in CLASS_ORDER],
         "reference_fingerprint": model.reference_fingerprint,
         "feature_dim": model.feature_dim,
-        "hyperparams": asdict(model.hyperparams),
+        "hyperparams": {**FIXED_HYPERPARAMS, **asdict(model.hyperparams)},
         "trees": [tree.nodes for tree in model.trees],
     }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
@@ -573,6 +559,7 @@ def loads_model(text: str) -> RandomForestModel:
         feature_dim = doc["feature_dim"]
         hp_doc = doc["hyperparams"]
         hp = Hyperparams(**{f.name: hp_doc[f.name] for f in fields(Hyperparams)})
+        fixed = {name: hp_doc[name] for name in FIXED_HYPERPARAMS}
         raw_trees = doc["trees"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModel(f"missing or malformed field: {exc}") from exc
@@ -584,8 +571,12 @@ def loads_model(text: str) -> RandomForestModel:
         raise CorruptModel("missing reference fingerprint")
     for f in fields(Hyperparams):
         value = getattr(hp, f.name)
-        if type(value) is not int and not (value is None and f.default is None):
+        if type(value) is not int:
             raise CorruptModel(f"hyperparam {f.name} {value!r}")
+    for name, value in fixed.items():
+        expected = FIXED_HYPERPARAMS[name]
+        if type(value) is not type(expected) or value != expected:
+            raise CorruptModel(f"hyperparam {name} {value!r}, fixed at {expected!r}")
     try:
         hp.validate()
     except InvalidHyperparams as exc:

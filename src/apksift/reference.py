@@ -9,8 +9,7 @@ both the vector dimension and the index of every key. Canonical key syntax:
 
 The capitalization rule is what lets the loader reject, say, a class key in
 a package-granularity file. Method keys drop the parameter descriptor so
-overloads collapse onto one feature; ``key_of(..., include_descriptor=True)``
-exists for sensitivity studies against descriptor-level vocabularies.
+overloads collapse onto one feature.
 
 File format: UTF-8 text, one key per line, ``#`` comments and blanks
 ignored, with header comments ``# granularity: package|class|method`` and
@@ -191,9 +190,7 @@ def save_reference(ref: ApiReferenceList, path) -> None:
         raise IoFailure(str(exc)) from exc
 
 
-def key_of(
-    target: MethodRef, g: Granularity, include_descriptor: bool = False
-) -> str | None:
+def key_of(target: MethodRef, g: Granularity) -> str | None:
     """Canonical feature key of an invocation target, or None if keyless."""
     if not target.class_path:
         return None
@@ -201,8 +198,6 @@ def key_of(
         return target.package
     if g is Granularity.Class:
         return target.class_path
-    if include_descriptor:
-        return f"{target.class_path};->{target.name}{target.descriptor}"
     return f"{target.class_path};->{target.name}"
 
 

@@ -301,21 +301,34 @@ def _manifest(tmp_path, rows):
     return path
 
 
-@pytest.mark.parametrize("command", ["extract", "train", "eval-obfuscation"])
-def test_bad_first_seen_is_a_usage_error(workspace, tmp_path, capsys, command):
-    corpus = Path(workspace["manifest"]).parent
-    manifest = _manifest(
-        tmp_path,
-        [f"{corpus / 't0000.txt'},trusted,2016-01-02,x", f"{corpus / 'r0000.txt'},ransomware,2016-13-45,x"],
-    )
+def _run_on_manifest(workspace, tmp_path, capsys, command, rows):
+    """(manifest path, exit code, stderr) of one manifest-reading command."""
+    manifest = _manifest(tmp_path, rows)
     _, ref_path = workspace["refs"][Granularity.Package]
     extra = {"extract": ["--out-csv", str(tmp_path / "f.csv")],
              "train": ["--out-model", str(tmp_path / "m.json")],
              "eval-obfuscation": ["--out", str(tmp_path)]}[command]
     rc = main([command, "--manifest", str(manifest), "--reference", str(ref_path), *extra])
-    err = capsys.readouterr().err
+    return manifest, rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "eval-obfuscation"])
+def test_bad_first_seen_is_a_usage_error(workspace, tmp_path, capsys, command):
+    corpus = Path(workspace["manifest"]).parent
+    rows = [f"{corpus / 't0000.txt'},trusted,2016-01-02,x",
+            f"{corpus / 'r0000.txt'},ransomware,2016-13-45,x"]
+    manifest, rc, err = _run_on_manifest(workspace, tmp_path, capsys, command, rows)
     assert rc == 2
     assert err == f"error: {manifest}:3: bad first_seen '2016-13-45'\n"
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "eval-obfuscation"])
+def test_duplicate_manifest_path_is_a_usage_error(workspace, tmp_path, capsys, command):
+    t0 = Path(workspace["manifest"]).parent / "t0000.txt"
+    rows = [f"{t0},trusted,2016-01-02,x", f"{t0},trusted,2016-01-02,x"]
+    manifest, rc, err = _run_on_manifest(workspace, tmp_path, capsys, command, rows)
+    assert rc == 2
+    assert err == f"error: {manifest}:3: duplicate path '{t0}'\n"
 
 
 def test_scan_non_utf8_fixture_exit_3(workspace, tmp_path, capsys):
@@ -358,10 +371,13 @@ def test_extract_skips_non_utf8_fixture(workspace, tmp_path, capsys):
         (("hyperparams", "n_trees"), 0),
         (("hyperparams", "max_depth"), -2),
         (("hyperparams", "features_per_split"), 0),
+        (("hyperparams", "max_depth"), 5),
+        (("hyperparams", "min_samples_leaf"), 2),
+        (("hyperparams", "features_per_split"), 3),
     ],
     ids=["trees-int", "tree-int", "leaf-string", "leaf-nan", "threshold-nan", "n_trees-string",
          "min_samples_leaf-0", "seed-negative", "n_trees-0", "max_depth-negative",
-         "features_per_split-0"],
+         "features_per_split-0", "max_depth-5", "min_samples_leaf-2", "features_per_split-3"],
 )
 def test_model_info_corrupt_model_exit_3(tmp_path, capsys, keys, value):
     doc = chain_model_doc(2, "left")
@@ -420,6 +436,10 @@ def test_eval_temporal_bad_date_checked_before_manifest(workspace, tmp_path, cap
         ("eval-random", ["--repeats", "-2"]),
         ("eval-random", ["--fraction", "nan"]),
         ("eval-random", ["--fraction", "1.5"]),
+        ("eval-random", ["--target-fpr", "nan"]),
+        ("eval-random", ["--target-fpr", "1.5"]),
+        ("eval-temporal", ["--target-fpr", "nan"]),
+        ("eval-temporal", ["--target-fpr", "-0.01"]),
         ("rank", ["--splits", "0"]),
         ("rank", ["--splits", "-1"]),
         ("rank", ["--fraction", "0"]),
@@ -433,8 +453,28 @@ def test_protocol_argument_out_of_range_exit_2(workspace, tmp_path, capsys, comm
         argv += ["--out-model", str(tmp_path / "m.json"), "--grid", "5"]
     if command == "eval-random":
         argv += ["--grid", "5", "--out", str(tmp_path)]
+    if command == "eval-temporal":
+        argv += ["--train-cutoff", "2016-12-31", "--bin", "late:2017-01-01:2017-12-31",
+                 "--n-trees", "5", "--out", str(tmp_path)]
     rc = main(argv + extra)
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["scan", "rank"])
+def test_negative_top_exit_2(workspace, tmp_path, capsys, command):
+    _, ref_path = workspace["refs"][Granularity.Package]
+    if command == "scan":
+        argv = ["scan", str(workspace["benign_apk"]), "--model", str(workspace["model"])]
+    else:
+        argv = ["rank", "--manifest", str(workspace["manifest"]), "--splits", "1"]
+    argv += ["--reference", str(ref_path)]
+    assert main(argv + ["--top", "0"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1  # the header or verdict line
+    rc = main(argv + ["--top", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --top -1 < 0\n"

@@ -224,20 +224,19 @@ def test_train_requires_two_classes():
 
 def test_invalid_hyperparams():
     data = ds([((1,), T), ((2,), R)])
-    for hp in (
-        Hyperparams(n_trees=0),
-        Hyperparams(max_depth=-1),
-        Hyperparams(min_samples_leaf=0),
-        Hyperparams(features_per_split=0),
-        Hyperparams(seed=-1),
-    ):
+    for hp in (Hyperparams(n_trees=0), Hyperparams(seed=-1)):
         with pytest.raises(InvalidHyperparams):
             train_forest(data, hp)
 
 
+def unsplittable_rows(n_per_class):
+    """Every row has the same counts, so no threshold separates any two rows."""
+    return [((3, 3, 3), label) for label in CLASS_ORDER for _ in range(n_per_class)]
+
+
 def test_depth_zero_single_leaf_prior():
-    data = ds(separable_rows(4))
-    hp = Hyperparams(n_trees=1, max_depth=0, seed=9)
+    data = ds(unsplittable_rows(4))
+    hp = Hyperparams(n_trees=1, seed=9)
     model = train_forest(data, hp)
     assert len(model.trees) == 1
     tree = model.trees[0]
@@ -450,8 +449,8 @@ def test_unrecognized_document():
 def test_bad_leaf_distribution_rejected():
     import json
 
-    data = ds(separable_rows(4))
-    doc = json.loads(dumps_model(train_forest(data, Hyperparams(n_trees=1, max_depth=0, seed=0))))
+    data = ds(unsplittable_rows(4))
+    doc = json.loads(dumps_model(train_forest(data, Hyperparams(n_trees=1, seed=0))))
     for leaf in (
         ["l", 0.9, 0.3, 0.3],  # sums to 1.5
         ["l", "a", 0.5, 0.5],

@@ -129,13 +129,6 @@ def test_key_of_method_excludes_descriptor():
     assert key_of(READ, Granularity.Method) == "java/io/FileInputStream;->read"
 
 
-def test_key_of_descriptor_switch():
-    assert (
-        key_of(READ, Granularity.Method, include_descriptor=True)
-        == "java/io/FileInputStream;->read([B)I"
-    )
-
-
 def test_key_of_class_and_package():
     assert key_of(READ, Granularity.Class) == "java/io/FileInputStream"
     assert key_of(READ, Granularity.Package) == "java/io"

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -17,8 +19,11 @@ def run_script(name, *args, cwd):
     )
 
 
-def test_make_corpus(tmp_path):
-    proc = run_script("make_corpus.py", "--out", "corpus", "--per-class", "20", cwd=tmp_path)
+@pytest.mark.parametrize("kind", ["experiment", "temporal"])
+def test_make_corpus(tmp_path, kind):
+    proc = run_script(
+        "make_corpus.py", "--out", "corpus", "--kind", kind, "--per-class", "20", cwd=tmp_path
+    )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "corpus" / "manifest.csv").is_file()
 
