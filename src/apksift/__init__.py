@@ -2,52 +2,3 @@
 counts extracted statically from Dalvik bytecode."""
 
 __version__ = "0.1.0"
-
-from .apk import ApkPackage, open_apk
-from .dex import DexFile, extract_invokes, parse_dex
-from .features import FeatureVector, extract_features, extract_from_apk
-from .forest import (
-    Hyperparams,
-    Label,
-    LabeledDataset,
-    LabeledSample,
-    RandomForestModel,
-    load_model,
-    predict,
-    predict_proba,
-    save_model,
-    train_forest,
-)
-from .invokes import InvokeKind, InvokeSite, MethodRef, load_invoke_list_text
-from .reference import ApiReferenceList, Granularity, key_of, load_reference, project
-
-__all__ = [
-    "ApkPackage",
-    "ApiReferenceList",
-    "DexFile",
-    "FeatureVector",
-    "Granularity",
-    "Hyperparams",
-    "InvokeKind",
-    "InvokeSite",
-    "Label",
-    "LabeledDataset",
-    "LabeledSample",
-    "MethodRef",
-    "RandomForestModel",
-    "__version__",
-    "extract_features",
-    "extract_from_apk",
-    "extract_invokes",
-    "key_of",
-    "load_invoke_list_text",
-    "load_model",
-    "load_reference",
-    "open_apk",
-    "parse_dex",
-    "predict",
-    "predict_proba",
-    "project",
-    "save_model",
-    "train_forest",
-]

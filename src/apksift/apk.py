@@ -8,13 +8,22 @@ archives are rejected up front.
 
 from __future__ import annotations
 
+import lzma
 import re
 import zipfile
+import zlib
 from dataclasses import dataclass
 
 from .errors import IoFailure, NoDexFound, NotAZipArchive
 
 _DEX_ENTRY = re.compile(r"^classes([2-9][0-9]*)?\.dex$")
+
+# what zipfile raises on an entry it cannot inflate: a bad deflate or lzma
+# stream, an unknown compression method, the encryption flag (which Android
+# ignores), or data that ends before its declared size
+_CORRUPT_STREAM = (
+    zipfile.BadZipFile, zlib.error, lzma.LZMAError, NotImplementedError, RuntimeError, EOFError
+)
 
 
 @dataclass(frozen=True)
@@ -53,8 +62,8 @@ def _open_apk_fileobj(fh, label: str) -> ApkPackage:
             raise NoDexFound(label)
         try:
             blobs = tuple(zf.read(n) for n in names)
-        except zipfile.BadZipFile as exc:
-            raise NotAZipArchive(f"{label}: {exc}") from exc
+        except _CORRUPT_STREAM as exc:
+            raise NotAZipArchive(f"{label}: {str(exc) or type(exc).__name__}") from exc
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
     return ApkPackage(dex_blobs=blobs)

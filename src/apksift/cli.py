@@ -102,19 +102,17 @@ def _resolve_reference(args):
     return load_reference(Path(env_dir) / REFERENCE_FILENAMES[g], g)
 
 
-def _add_common(parser, reference=True, seed=True, out=False, fmt=False):
-    if reference:
-        parser.add_argument("--reference", help="reference-list file")
-        parser.add_argument(
-            "--granularity",
-            choices=["package", "class", "method"],
-            help="expected granularity (header is trusted when omitted)",
-        )
+def _add_common(parser, seed=True, report=False):
+    parser.add_argument("--reference", help="reference-list file")
+    parser.add_argument(
+        "--granularity",
+        choices=["package", "class", "method"],
+        help="expected granularity (header is trusted when omitted)",
+    )
     if seed:
         parser.add_argument("--seed", type=int, default=0)
-    if out:
+    if report:
         parser.add_argument("--out", default=".", help="output directory")
-    if fmt:
         parser.add_argument("--format", choices=["csv", "text"], default="text")
 
 
@@ -154,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--grid", type=int, nargs="+", default=[10, 25, 50])
     p.add_argument("--target-fpr", type=float, default=0.01)
-    _add_common(p, out=True, fmt=True)
+    _add_common(p, report=True)
 
     p = sub.add_parser("eval-temporal", help="train before a cutoff, test on later bins")
     p.add_argument("--manifest", required=True)
@@ -168,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--target-fpr", type=float, default=0.01)
     p.add_argument("--n-trees", type=int, default=50)
-    _add_common(p, out=True, fmt=True)
+    _add_common(p, report=True)
 
     p = sub.add_parser("eval-obfuscation", help="robustness against simulated obfuscation")
     p.add_argument("--manifest", required=True)
@@ -180,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plus-one", action="store_true", help="also report the one-injection rate")
     p.add_argument("--stub", help="override the stub profile (invoke-list file)")
     p.add_argument("--n-trees", type=int, default=50)
-    _add_common(p, out=True, fmt=True)
+    _add_common(p, report=True)
 
     p = sub.add_parser("rank", help="rank features by mean information gain over splits")
     p.add_argument("--manifest", required=True)

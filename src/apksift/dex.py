@@ -128,9 +128,6 @@ class _StringPool:
         self._offsets = offsets
         self._cache: list[str | None] = [None] * len(offsets)
 
-    def __len__(self) -> int:
-        return len(self._offsets)
-
     def __getitem__(self, index: int) -> str:
         cached = self._cache[index]
         if cached is not None:
@@ -161,7 +158,6 @@ class ClassItem:
 class DexFile:
     """Parsed DEX container (immutable after parse; shareable)."""
 
-    version: int
     string_pool: _StringPool
     type_names: tuple[str, ...]
     proto_table: tuple[tuple[int, int], ...]  # (return_type_idx, parameters_off)
@@ -280,7 +276,6 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
         class_items.append(ClassItem(class_idx, code_offs))
 
     dex = DexFile(
-        version=version,
         string_pool=strings,
         type_names=type_names,
         proto_table=tuple(proto_table),

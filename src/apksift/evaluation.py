@@ -20,8 +20,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
-from types import UnionType
-from typing import Iterable, Sequence, get_args, get_origin, get_type_hints
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -554,13 +553,6 @@ def obfuscation_eval(
 # report serialization
 
 
-_REPORT_TYPES = {
-    "random-split": RandomSplitReport,
-    "temporal": TemporalReport,
-    "obfuscation": ObfuscationReport,
-}
-
-
 def _encode(value):
     """JSON-ready form of a report value; a RocCurve is [[threshold, fpr, tpr], ...]."""
     if isinstance(value, RocCurve):
@@ -574,42 +566,6 @@ def _encode(value):
     if isinstance(value, date):
         return value.isoformat()
     return value
-
-
-def _decode(tp, value):
-    """Inverse of _encode, driven by the type hint ``tp``."""
-    if tp is RocCurve:
-        return RocCurve(tuple(RocPoint(float(t), float(f), float(d)) for t, f, d in value))
-    if is_dataclass(tp):
-        hints = get_type_hints(tp)
-        return tp(**{f.name: _decode(hints[f.name], value[f.name]) for f in fields(tp)})
-    origin, args = get_origin(tp), get_args(tp)
-    if origin is UnionType:  # X | None
-        return None if value is None else _decode(args[0], value)
-    if origin is tuple:
-        if args[-1] is Ellipsis:
-            return tuple(_decode(args[0], v) for v in value)
-        return tuple(_decode(a, v) for a, v in zip(args, value))
-    if origin is dict:
-        return {k: _decode(args[1], v) for k, v in value.items()}
-    if tp is date:
-        return date.fromisoformat(value)
-    if tp is float:
-        return float(value)
-    return value
-
-
-def report_to_dict(report) -> dict:
-    if not isinstance(report, tuple(_REPORT_TYPES.values())):
-        raise UsageError(f"unknown report type {type(report).__name__}")
-    return _encode(report)
-
-
-def report_from_dict(doc: dict):
-    protocol = doc.get("protocol")
-    if protocol not in _REPORT_TYPES:
-        raise UsageError(f"unknown report protocol {protocol!r}")
-    return _decode(_REPORT_TYPES[protocol], doc)
 
 
 def _csv_rows(report) -> tuple[list[str], list[list]]:
@@ -655,7 +611,7 @@ def emit_report(report, fmt: str, path) -> None:
     if fmt == "text":
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
+                json.dump(_encode(report), fh, indent=2, sort_keys=True)
                 fh.write("\n")
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
@@ -671,11 +627,6 @@ def emit_report(report, fmt: str, path) -> None:
             raise IoFailure(str(exc)) from exc
         return
     raise UsageError(f"unknown report format {fmt!r}")
-
-
-def load_report(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +697,8 @@ def load_manifest(path) -> list[ManifestRow]:
                 raise ConfigError(f"{path}: manifest needs columns path,label[,first_seen,family]")
             for lineno, row in enumerate(reader, start=2):
                 sample_path = row["path"].strip()
+                if "\0" in sample_path:
+                    raise ConfigError(f"{path}:{lineno}: NUL byte in path")
                 if sample_path in seen:
                     raise ConfigError(f"{path}:{lineno}: duplicate path {sample_path!r}")
                 seen.add(sample_path)
@@ -763,4 +716,6 @@ def load_manifest(path) -> list[ManifestRow]:
                 rows.append(ManifestRow(sample_path, label, first_seen))
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
     return rows

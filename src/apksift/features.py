@@ -54,16 +54,6 @@ def extract_features(invokes: Iterable[InvokeSite], ref: ApiReferenceList) -> Fe
     return _vector_from_counter(Counter(site.target for site in invokes), ref)
 
 
-def extract_from_apk(path, ref: ApiReferenceList, strict: bool = False) -> FeatureVector:
-    """Open an apk, parse every DEX blob, and count across all of them.
-
-    Result equals extract_features over the concatenated extract_invokes of
-    all blobs; this path skips per-site object creation for throughput.
-    """
-    package = open_apk(path)
-    return features_from_dex_blobs(package.dex_blobs, ref, strict=strict)
-
-
 def features_from_dex_blobs(
     blobs: Sequence[bytes], ref: ApiReferenceList, strict: bool = False
 ) -> FeatureVector:
@@ -86,7 +76,7 @@ def extract_from_sample(path, ref: ApiReferenceList, strict: bool = False) -> Fe
     """Extract from an apk, or from an invoke-list fixture (by file suffix)."""
     if is_invoke_list_path(path):
         return extract_features(load_invoke_list_text(path), ref)
-    return extract_from_apk(path, ref, strict=strict)
+    return features_from_dex_blobs(open_apk(path).dex_blobs, ref, strict=strict)
 
 
 def invokes_from_sample(path) -> tuple[InvokeSite, ...]:

@@ -545,7 +545,7 @@ def save_model(model: RandomForestModel, path) -> None:
 def loads_model(text: str) -> RandomForestModel:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise CorruptModel("unrecognized model document")
@@ -593,4 +593,8 @@ def loads_model(text: str) -> RandomForestModel:
 
 def load_model(path) -> RandomForestModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_model(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CorruptModel(f"not UTF-8 ({exc.reason})") from None
+    return loads_model(text)

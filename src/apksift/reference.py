@@ -76,7 +76,6 @@ class ApiReferenceList:
     api_level: int | None
     entries: tuple[str, ...]
     index_of: dict[str, int] = field(compare=False, repr=False)
-    duplicates_dropped: int = field(default=0, compare=False)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -99,21 +98,16 @@ def _build(
     """Validate, deduplicate and sort (line number, key) pairs."""
     pattern = _KEY_RE[granularity]
     seen = set()
-    dropped = 0
     for line_no, key in numbered_keys:
         if not pattern.match(key):
             raise MalformedKey(line_no, f"{key!r} is not a {granularity.value} key")
-        if key in seen:
-            dropped += 1
-        else:
-            seen.add(key)
+        seen.add(key)
     entries = tuple(sorted(seen))
     return ApiReferenceList(
         granularity=granularity,
         api_level=api_level,
         entries=entries,
         index_of={k: i for i, k in enumerate(entries)},
-        duplicates_dropped=dropped,
     )
 
 
@@ -173,8 +167,8 @@ def load_reference(path, expected: Granularity | None = None) -> ApiReferenceLis
     if expected is not None and declared is not expected:
         raise GranularityMismatch(f"{path}: declares {declared.value}, expected {expected.value}")
     ref = _build(declared, keys, api_level)
-    if ref.duplicates_dropped:
-        logger.warning("%s: dropped %d duplicate entries", path, ref.duplicates_dropped)
+    if len(keys) > len(ref):
+        logger.warning("%s: dropped %d duplicate entries", path, len(keys) - len(ref))
     return ref
 
 

@@ -3,6 +3,9 @@ tiny reference lists, and hypothesis strategies for domain objects."""
 
 from __future__ import annotations
 
+import io
+import zipfile
+
 import pytest
 from hypothesis import strategies as st
 
@@ -169,3 +172,38 @@ def chain_model_doc(depth: int, side: str, fingerprint: str = "chainfp") -> dict
                         "features_per_split": None, "seed": 0},
         "trees": [nodes],
     }
+
+
+# -- apks whose classes.dex entry cannot be inflated ---------------------------
+
+CORRUPT_STREAMS = ["deflate-xor", "lzma-xor", "method-99", "encrypted-flag", "stored-short"]
+
+
+def corrupt_apk_bytes(kind: str) -> bytes:
+    """A one-entry apk whose ``classes.dex`` entry (an empty dex, repeated) is
+    damaged in the named way.
+
+    The central directory stays well-formed, so the archive opens and only
+    reading the entry fails. ``encrypted-flag`` sets general-purpose bit 0,
+    which Android's installer ignores; ``stored-short`` declares sizes past
+    the end of the archive.
+    """
+    method = {"lzma-xor": zipfile.ZIP_LZMA, "stored-short": zipfile.ZIP_STORED}
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", compression=method.get(kind, zipfile.ZIP_DEFLATED)) as zf:
+        zf.writestr("classes.dex", DexBuilder().build() * 20)
+    raw = bytearray(buf.getvalue())
+    cd = raw.rindex(b"PK\x01\x02")
+    start = 30 + int.from_bytes(raw[26:28], "little") + int.from_bytes(raw[28:30], "little")
+    if kind.endswith("-xor"):  # keep lzma's 9-byte properties header intact
+        for i in range(start + 9, start + int.from_bytes(raw[18:22], "little")):
+            raw[i] ^= 0x5A
+    elif kind == "method-99":
+        raw[8:10] = raw[cd + 10 : cd + 12] = (99).to_bytes(2, "little")
+    elif kind == "encrypted-flag":
+        raw[6] |= 1
+        raw[cd + 8] |= 1
+    elif kind == "stored-short":
+        big = (1 << 20).to_bytes(4, "little")
+        raw[18:22] = raw[22:26] = raw[cd + 20 : cd + 24] = raw[cd + 24 : cd + 28] = big
+    return bytes(raw)

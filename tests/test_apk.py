@@ -1,13 +1,17 @@
 """Application-package ingestion: entry selection, ordering, byte accounting."""
 
 import io
+import lzma
 import struct
 import zipfile
+import zlib
 
 import pytest
 
 from apksift.apk import open_apk
 from apksift.errors import IoFailure, NoDexFound, NotAZipArchive
+
+from conftest import CORRUPT_STREAMS, corrupt_apk_bytes
 
 
 def make_zip(entries: dict[str, bytes]) -> bytes:
@@ -69,6 +73,19 @@ def test_truncated_central_directory(tmp_path):
     path.write_bytes(whole[: len(whole) - 10])
     with pytest.raises(NotAZipArchive):
         open_apk(path)
+
+
+@pytest.mark.parametrize(
+    "kind, cause",
+    zip(CORRUPT_STREAMS, [zlib.error, lzma.LZMAError, NotImplementedError, RuntimeError, EOFError]),
+    ids=CORRUPT_STREAMS,
+)
+def test_corrupt_dex_stream_is_not_a_zip(tmp_path, kind, cause):
+    path = tmp_path / "corrupt.apk"
+    path.write_bytes(corrupt_apk_bytes(kind))
+    with pytest.raises(NotAZipArchive) as exc:
+        open_apk(path)
+    assert type(exc.value.__cause__) is cause
 
 
 def test_missing_file():

@@ -19,7 +19,7 @@ from apksift.synth import (
     write_corpus,
 )
 
-from conftest import chain_model_doc, locker_body
+from conftest import CORRUPT_STREAMS, chain_model_doc, corrupt_apk_bytes, locker_body
 
 
 @pytest.fixture(scope="module")
@@ -296,8 +296,10 @@ def test_version_flag(capsys):
 
 
 def _manifest(tmp_path, rows):
+    """Write a manifest; a lone surrogate "\\udcXX" in a row stands for the raw byte 0xXX."""
     path = tmp_path / "manifest.csv"
-    path.write_text("path,label,first_seen,family\n" + "".join(f"{r}\n" for r in rows))
+    text = "path,label,first_seen,family\n" + "".join(f"{r}\n" for r in rows)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
     return path
 
 
@@ -329,6 +331,37 @@ def test_duplicate_manifest_path_is_a_usage_error(workspace, tmp_path, capsys, c
     manifest, rc, err = _run_on_manifest(workspace, tmp_path, capsys, command, rows)
     assert rc == 2
     assert err == f"error: {manifest}:3: duplicate path '{t0}'\n"
+
+
+@pytest.mark.parametrize("command", ["extract", "train", "eval-obfuscation"])
+@pytest.mark.parametrize(
+    "path, message",
+    [("r\0.txt", ":3: NUL byte in path"), ("r\udcff.txt", ": not UTF-8 (invalid start byte)")],
+    ids=["nul-in-path", "not-utf8"],
+)
+def test_unreadable_manifest_is_a_usage_error(workspace, tmp_path, capsys, command, path, message):
+    corpus = Path(workspace["manifest"]).parent
+    rows = [f"{corpus / 't0000.txt'},trusted,2016-01-02,x", f"{path},ransomware,2016-01-01,x"]
+    manifest, rc, err = _run_on_manifest(workspace, tmp_path, capsys, command, rows)
+    assert rc == 2
+    assert err == f"error: {manifest}{message}\n"
+
+
+@pytest.mark.parametrize("kind", CORRUPT_STREAMS)
+def test_corrupt_dex_stream_exit_3_and_row_skipped(workspace, tmp_path, capsys, caplog, kind):
+    bad = tmp_path / "bad.apk"
+    bad.write_bytes(corrupt_apk_bytes(kind))
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(["scan", str(bad), "--model", str(workspace["model"]), "--reference", str(ref_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: NotAZipArchive: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    t0 = Path(workspace["manifest"]).parent / "t0000.txt"
+    rows = [f"{t0},trusted,2016-01-02,x", f"{bad},ransomware,2016-01-01,x"]
+    _, rc, _ = _run_on_manifest(workspace, tmp_path, capsys, "extract", rows)
+    assert rc == 0
+    assert "1 rows skipped" in caplog.text
 
 
 def test_scan_non_utf8_fixture_exit_3(workspace, tmp_path, capsys):
@@ -392,6 +425,21 @@ def test_model_info_corrupt_model_exit_3(tmp_path, capsys, keys, value):
     assert rc == 3
     assert err.startswith("error: CorruptModel: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "data", [b'{"format": "\xff"}', b"[" * 100_000], ids=["not-utf8", "deep-nesting"]
+)
+def test_model_info_unreadable_model_exit_3(workspace, tmp_path, capsys, data):
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    _, ref_path = workspace["refs"][Granularity.Package]
+    for argv in (["model-info"], ["scan", str(workspace["benign_apk"]), "--reference", str(ref_path)]):
+        rc = main(argv + ["--model", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error: CorruptModel: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("side", ["left", "right"])

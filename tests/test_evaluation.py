@@ -15,7 +15,6 @@ from apksift.evaluation import (
     TemporalSplitSpec,
     dataset_from_invoke_samples,
     emit_report,
-    load_report,
     obfuscation_eval,
     operating_point,
     random_split_eval,
@@ -380,29 +379,6 @@ def test_obfuscation_no_ransomware_raises_empty_bin():
 
 
 # -- report serialization ------------------------------------------------------------------
-
-
-def test_text_report_round_trip(tmp_path):
-    data = separable_dataset(8)
-    report = random_split_eval(data, repeats=2, seed=3, grid=[5])
-    path = tmp_path / "report.json"
-    emit_report(report, "text", path)
-    assert load_report(path) == report
-
-
-def test_temporal_report_round_trip(tmp_path):
-    corpus = generate_temporal_corpus(seed=4, n_trusted=40, n_malware=24, n_train_ransomware=30)
-    from apksift.synth import temporal_vocab
-
-    ref = reference_from_vocab(temporal_vocab(), Granularity.Package)
-    data = dataset_from_invoke_samples(corpus, ref)
-    spec = TemporalSplitSpec(
-        date(2016, 12, 31), (("b1", date(2017, 1, 1), date(2017, 11, 30)),)
-    )
-    report = temporal_eval(data, spec, n_trees=10, seed=1)
-    path = tmp_path / "temporal.json"
-    emit_report(report, "text", path)
-    assert load_report(path) == report
 
 
 def test_csv_report_rows(tmp_path):

@@ -12,7 +12,6 @@ from apksift.features import (
     FeatureVector,
     _vector_from_counter,
     extract_features,
-    extract_from_apk,
     extract_from_sample,
     features_from_dex_blobs,
     write_features_csv,
@@ -75,7 +74,7 @@ def test_extract_from_apk_single_dex(tmp_path, crypto_dex, package_subset):
     blob, _ = crypto_dex
     apk = tmp_path / "one.apk"
     write_apk(apk, [blob])
-    fv = extract_from_apk(apk, package_subset)
+    fv = extract_from_sample(apk, package_subset)
     assert by_key(fv, package_subset) == {"java/io": 2, "javax/crypto": 2, "java/lang": 0}
 
 
@@ -83,7 +82,7 @@ def test_extract_from_apk_multidex_additive(tmp_path, crypto_dex, package_subset
     blob, _ = crypto_dex
     apk = tmp_path / "two.apk"
     write_apk(apk, [blob, blob])
-    fv = extract_from_apk(apk, package_subset)
+    fv = extract_from_sample(apk, package_subset)
     assert by_key(fv, package_subset) == {"java/io": 4, "javax/crypto": 4, "java/lang": 0}
 
 
@@ -93,7 +92,7 @@ def test_extract_from_apk_zero_invokes(tmp_path, package_subset):
     blob, _ = build_single_method_dex([ins_nop(), ins_return_void()])
     apk = tmp_path / "quiet.apk"
     write_apk(apk, [blob])
-    assert extract_from_apk(apk, package_subset).counts == (0, 0, 0)
+    assert extract_from_sample(apk, package_subset).counts == (0, 0, 0)
 
 
 def test_extract_from_sample_sniffs(tmp_path, crypto_dex, crypto_sites, package_subset):

@@ -35,11 +35,11 @@ def test_load_package_list(tmp_path):
     assert ref.index_of["javax/crypto"] == 2
 
 
-def test_duplicates_dropped_with_count(tmp_path):
+def test_duplicates_dropped_with_count(tmp_path, caplog):
     path = write(tmp_path, "# granularity: package\njava/io\njava/io\njava/lang\n")
     ref = load_reference(path, Granularity.Package)
     assert ref.entries == ("java/io", "java/lang")
-    assert ref.duplicates_dropped == 1
+    assert "dropped 1 duplicate entries" in caplog.text
 
 
 def test_class_key_in_package_file(tmp_path):

@@ -1,5 +1,6 @@
 """The command-line scripts under scripts/, run as subprocesses on small inputs."""
 
+import json
 import os
 import subprocess
 import sys
@@ -41,3 +42,14 @@ def test_run_experiments_obfuscation_and_temporal(tmp_path):
             expected.add(f"obfuscation_{kind}_{g}.json")
         expected.add(f"obfuscation_class-encryption_plus_one_{g}.json")
     assert names == expected
+
+
+def test_run_experiments_random_split(tmp_path):
+    proc = run_script(
+        "run_experiments.py", "--out", "results", "--per-class", "20",
+        "--skip", "temporal", "obfuscation", cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for g in ("package", "class", "method"):
+        doc = json.loads((tmp_path / "results" / f"random_split_{g}.json").read_text())
+        assert doc["protocol"] == "random-split"
