@@ -14,15 +14,23 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 
-from .errors import IoFailure, NoDexFound, NotAZipArchive
+from .errors import NoDexFound, NotAZipArchive
 
 _DEX_ENTRY = re.compile(r"^classes([2-9][0-9]*)?\.dex$")
 
-# what zipfile raises on an entry it cannot inflate: a bad deflate or lzma
-# stream, an unknown compression method, the encryption flag (which Android
-# ignores), or data that ends before its declared size
-_CORRUPT_STREAM = (
-    zipfile.BadZipFile, zlib.error, lzma.LZMAError, NotImplementedError, RuntimeError, EOFError
+# what zipfile raises on an archive it cannot read: a bad or truncated central
+# directory, a "version needed to extract" past zipfile's own, an entry name
+# flagged UTF-8 that is not, a bad deflate or lzma stream, an unknown
+# compression method, the encryption flag (which Android ignores), or data
+# that ends before its declared size
+_CORRUPT_ZIP = (
+    zipfile.BadZipFile,
+    NotImplementedError,
+    UnicodeDecodeError,
+    zlib.error,
+    lzma.LZMAError,
+    RuntimeError,
+    EOFError,
 )
 
 
@@ -37,33 +45,16 @@ def open_apk(source) -> ApkPackage:
     """Open an apk (path or binary file object) and extract every DEX blob.
 
     Blobs are ordered by entry-name lexicographic order. Raises
-    NotAZipArchive for non-zip input, NoDexFound when no entry matches,
-    IoFailure on OS errors.
+    NotAZipArchive for an archive zipfile cannot read, NoDexFound when no
+    entry matches; OS errors propagate as OSError.
     """
-    if hasattr(source, "read"):
-        return _open_apk_fileobj(source, getattr(source, "name", "<stream>"))
+    label = getattr(source, "name", "<stream>") if hasattr(source, "read") else str(source)
     try:
-        with open(source, "rb") as fh:
-            return _open_apk_fileobj(fh, str(source))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-
-
-def _open_apk_fileobj(fh, label: str) -> ApkPackage:
-    try:
-        zf = zipfile.ZipFile(fh)
-    except zipfile.BadZipFile as exc:
-        raise NotAZipArchive(f"{label}: {exc}") from exc
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
-    with zf:
-        names = sorted(n for n in zf.namelist() if _DEX_ENTRY.match(n))
-        if not names:
-            raise NoDexFound(label)
-        try:
+        with zipfile.ZipFile(source) as zf:
+            names = sorted(n for n in zf.namelist() if _DEX_ENTRY.match(n))
             blobs = tuple(zf.read(n) for n in names)
-        except _CORRUPT_STREAM as exc:
-            raise NotAZipArchive(f"{label}: {str(exc) or type(exc).__name__}") from exc
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
+    except _CORRUPT_ZIP as exc:
+        raise NotAZipArchive(f"{label}: {str(exc) or type(exc).__name__}") from exc
+    if not blobs:
+        raise NoDexFound(label)
     return ApkPackage(dex_blobs=blobs)

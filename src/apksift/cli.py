@@ -20,8 +20,6 @@ import sys
 from datetime import date
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import (
     ApksiftError,
@@ -44,7 +42,7 @@ from .evaluation import (
     load_labeled_dataset,
     obfuscation_eval,
     random_split_eval,
-    split_dataset,
+    repeat_split,
     temporal_eval,
 )
 from .features import extract_from_sample, write_features_csv
@@ -345,11 +343,7 @@ def cmd_rank(args) -> int:
         raise UsageError(f"--top {args.top} < 0")
     ref = _resolve_reference(args)
     dataset, _ = load_labeled_dataset(args.manifest, ref, skip_errors=True)
-    halves = []
-    for r in range(args.splits):
-        rng = np.random.default_rng((args.seed, r, 7))
-        train, _test = split_dataset(dataset, args.fraction, rng)
-        halves.append(train)
+    halves = [repeat_split(dataset, args.fraction, args.seed, r)[0] for r in range(args.splits)]
     ranking = rank_features(halves)
     print("rank\tfeature\tmean_information_gain")
     for pos, (idx, gain) in enumerate(ranking[: args.top], start=1):

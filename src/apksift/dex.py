@@ -118,32 +118,10 @@ def decode_mutf8(data: bytes, start: int = 0) -> str:
     return "".join(out)
 
 
-class _StringPool:
-    """Lazy, cached view of the DEX string pool (decode on first access)."""
-
-    __slots__ = ("_blob", "_offsets", "_cache")
-
-    def __init__(self, blob: bytes, offsets: tuple[int, ...]):
-        self._blob = blob
-        self._offsets = offsets
-        self._cache: list[str | None] = [None] * len(offsets)
-
-    def __getitem__(self, index: int) -> str:
-        cached = self._cache[index]
-        if cached is not None:
-            return cached
-        off = self._offsets[index]
-        blob = self._blob
-        if off >= len(blob):
-            raise StructuralError(f"string_data_off {off} out of bounds")
-        _, pos = read_uleb128(blob, off)  # utf16 length, unused for decoding
-        value = decode_mutf8(blob, pos)
-        self._cache[index] = value
-        return value
-
-    def __iter__(self):
-        for i in range(len(self._offsets)):
-            yield self[i]
+def _string(blob: bytes, off: int) -> str:
+    """Decode the string_data_item at ``off`` (a bounds-checked pool offset)."""
+    _, pos = read_uleb128(blob, off)  # utf16 length, unused for decoding
+    return decode_mutf8(blob, pos)
 
 
 @dataclass(frozen=True)
@@ -158,7 +136,7 @@ class ClassItem:
 class DexFile:
     """Parsed DEX container (immutable after parse; shareable)."""
 
-    string_pool: _StringPool
+    string_offsets: tuple[int, ...]  # string_data_off of each string id
     type_names: tuple[str, ...]
     proto_table: tuple[tuple[int, int], ...]  # (return_type_idx, parameters_off)
     method_table: tuple[tuple[int, int, int], ...]  # (class_type_idx, name_str_idx, proto_idx)
@@ -234,13 +212,12 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     for off in string_offsets:
         if off >= len(blob):
             raise StructuralError(f"string_data_off {off} out of bounds")
-    strings = _StringPool(blob, string_offsets)
 
     type_string_idx = struct.unpack_from(f"<{type_ids_size}I", blob, type_ids_off)
     for idx in type_string_idx:
         if idx >= string_ids_size:
             raise StructuralError(f"type_id string index {idx} out of range")
-    type_names = tuple(strings[i] for i in type_string_idx)
+    type_names = tuple(_string(blob, string_offsets[i]) for i in type_string_idx)
 
     proto_table = []
     for _shorty, ret_idx, params_off in struct.iter_unpack(
@@ -275,18 +252,17 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
         code_offs = _read_class_data(blob, class_data_off, method_ids_size)
         class_items.append(ClassItem(class_idx, code_offs))
 
-    dex = DexFile(
-        string_pool=strings,
+    if strict:
+        for off in string_offsets:
+            _string(blob, off)
+    return DexFile(
+        string_offsets=string_offsets,
         type_names=type_names,
         proto_table=tuple(proto_table),
         method_table=tuple(method_table),
         class_items=tuple(class_items),
         blob=blob,
     )
-    if strict:
-        for s in strings:  # force-decode everything
-            del s
-    return dex
 
 
 def _read_class_data(blob: bytes, off: int, method_ids_size: int) -> tuple[int, ...]:
@@ -405,8 +381,12 @@ def _method_descriptor(dex: DexFile, proto_idx: int) -> str:
     return f"({params}){dex.type_names[ret_idx]}"
 
 
-def _resolve_method(dex: DexFile, method_idx: int, cache: dict) -> MethodRef | None:
-    """Resolve a method_ids index to a MethodRef; None for primitive receivers."""
+def _resolve_method(dex: DexFile, method_idx: int, cache: dict, names: dict) -> MethodRef | None:
+    """Resolve a method_ids index to a MethodRef; None for primitive receivers.
+
+    For one walk of ``dex``, ``cache`` keeps refs by method index and
+    ``names`` decoded names by string index (many methods share a name).
+    """
     try:
         return cache[method_idx]
     except KeyError:
@@ -418,9 +398,10 @@ def _resolve_method(dex: DexFile, method_idx: int, cache: dict) -> MethodRef | N
     if class_path is None:
         ref = None
     else:
-        ref = MethodRef.from_class_path(
-            class_path, dex.string_pool[name_idx], _method_descriptor(dex, proto_idx)
-        )
+        name = names.get(name_idx)
+        if name is None:
+            name = names[name_idx] = _string(dex.blob, dex.string_offsets[name_idx])
+        ref = MethodRef.from_class_path(class_path, name, _method_descriptor(dex, proto_idx))
     cache[method_idx] = ref
     return ref
 
@@ -438,13 +419,14 @@ def extract_invokes(dex: DexFile) -> list[InvokeSite]:
     """
     sites: list[InvokeSite] = []
     cache: dict[int, MethodRef | None] = {}
+    names: dict[int, str] = {}
     for item in dex.class_items:
         caller = _caller_of(dex, item.class_type_index)
         for code_off in item.code_offsets:
             hits: list[int] = []
             _walk_into(dex.blob, code_off, hits.append)
             for packed in hits:
-                ref = _resolve_method(dex, packed >> 8, cache)
+                ref = _resolve_method(dex, packed >> 8, cache, names)
                 if ref is not None:
                     sites.append(InvokeSite(KIND_BY_OPCODE[packed & 0xFF], caller, ref))
     return sites
@@ -463,9 +445,10 @@ def count_invoke_targets(dex: DexFile) -> Counter:
         for code_off in item.code_offsets:
             _walk_into(blob, code_off, append)
     cache: dict[int, MethodRef | None] = {}
+    names: dict[int, str] = {}
     counts: Counter = Counter()
     for packed, n in Counter(hits).items():
-        ref = _resolve_method(dex, packed >> 8, cache)
+        ref = _resolve_method(dex, packed >> 8, cache, names)
         if ref is not None:
             counts[ref] += n
     return counts

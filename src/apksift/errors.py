@@ -5,10 +5,6 @@ class ApksiftError(Exception):
     """Base class for all toolkit errors."""
 
 
-class IoFailure(ApksiftError):
-    """Underlying I/O failed (wraps OSError)."""
-
-
 # -- archive ingestion ------------------------------------------------------
 
 class NotAZipArchive(ApksiftError):

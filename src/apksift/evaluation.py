@@ -29,7 +29,6 @@ from .errors import (
     ApksiftError,
     ConfigError,
     EmptyBin,
-    IoFailure,
     MissingClass,
     TooFewSamples,
     UsageError,
@@ -225,6 +224,13 @@ def split_dataset(
     return train, test
 
 
+def repeat_split(
+    data: LabeledDataset, fraction: float, seed: int, repeat: int
+) -> tuple[LabeledDataset, LabeledDataset]:
+    """The stratified split of repeat ``repeat``, drawn from its own (seed, repeat) stream."""
+    return split_dataset(data, fraction, np.random.default_rng((seed, repeat, 7)))
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -330,8 +336,7 @@ def random_split_eval(
         raise TooFewSamples(f"every class needs >= 2 samples, got {counts}")
     repeat_results: list[RepeatResult] = []
     for r in range(repeats):
-        rng = np.random.default_rng((seed, r, 7))
-        train, test = split_dataset(data, fraction, rng)
+        train, test = repeat_split(data, fraction, seed, r)
         n_trees = best_grid_value(
             cv_accuracy_table(train, grid, seed=derive_seed(seed, r, 11), n_folds=cv_folds)
         )
@@ -609,22 +614,16 @@ def _csv_rows(report) -> tuple[list[str], list[list]]:
 def emit_report(report, fmt: str, path) -> None:
     """Write a report file; fmt is 'csv' or 'text' (JSON structured text)."""
     if fmt == "text":
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                json.dump(_encode(report), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(_encode(report), fh, indent=2, sort_keys=True)
+            fh.write("\n")
         return
     if fmt == "csv":
         header, rows = _csv_rows(report)
-        try:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(header)
-                writer.writerows(rows)
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
         return
     raise UsageError(f"unknown report format {fmt!r}")
 
@@ -661,14 +660,15 @@ def load_labeled_dataset(
 
 def _load_rows(manifest_path, load, skip_errors: bool) -> tuple[list, int]:
     """([(row, load(path relative to the manifest))], n_skipped); with skip_errors,
-    a row whose load raises ApksiftError is logged and dropped instead of aborting."""
+    a row whose load raises ApksiftError or OSError is logged and dropped
+    instead of aborting."""
     base = Path(manifest_path).parent
     rows = load_manifest(manifest_path)
     loaded = []
     for row in rows:
         try:
             loaded.append((row, load(base / row.path)))
-        except ApksiftError as exc:
+        except (ApksiftError, OSError) as exc:
             if not skip_errors:
                 raise
             logger.warning("skipping %s: %s", row.path, exc)
@@ -686,7 +686,8 @@ def load_invoke_samples(manifest_path) -> list[InvokeSample]:
 
 def load_manifest(path) -> list[ManifestRow]:
     """Parse a `path,label,first_seen,family` CSV; paths stay as written and
-    must be unique. The family column is optional and not read."""
+    must be unique. Every row needs its path and label fields; the
+    first_seen and family columns are optional, and family is not read."""
     rows: list[ManifestRow] = []
     seen: set[str] = set()
     try:
@@ -696,6 +697,8 @@ def load_manifest(path) -> list[ManifestRow]:
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ConfigError(f"{path}: manifest needs columns path,label[,first_seen,family]")
             for lineno, row in enumerate(reader, start=2):
+                if row["path"] is None or row["label"] is None:
+                    raise ConfigError(f"{path}:{lineno}: row has no path or label field")
                 sample_path = row["path"].strip()
                 if "\0" in sample_path:
                     raise ConfigError(f"{path}:{lineno}: NUL byte in path")
@@ -714,8 +717,8 @@ def load_manifest(path) -> list[ManifestRow]:
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: bad first_seen {raw_date!r}") from None
                 rows.append(ManifestRow(sample_path, label, first_seen))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return rows

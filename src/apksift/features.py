@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 from .apk import open_apk
 from .dex import count_invoke_targets, extract_invokes, parse_dex
-from .errors import IoFailure
 from .invokes import InvokeSite, load_invoke_list_text
 from .reference import ApiReferenceList, key_of
 
@@ -92,13 +91,10 @@ def write_features_csv(
     rows: Iterable[tuple[str, str, FeatureVector]], ref: ApiReferenceList, path
 ) -> None:
     """Export vectors: header of keys, one row per sample (id, label, counts)."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", "label", *ref.entries])
-            for sample_id, label, fv in rows:
-                if fv.reference_fingerprint != ref.fingerprint:
-                    raise ValueError(f"{sample_id}: vector built against a different list")
-                writer.writerow([sample_id, label, *fv.counts])
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["sample_id", "label", *ref.entries])
+        for sample_id, label, fv in rows:
+            if fv.reference_fingerprint != ref.fingerprint:
+                raise ValueError(f"{sample_id}: vector built against a different list")
+            writer.writerow([sample_id, label, *fv.counts])

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import IoFailure, MalformedLine
+from .errors import MalformedLine
 
 
 class InvokeKind(enum.Enum):
@@ -144,11 +144,8 @@ def dumps_invoke_list(sites: Iterable[InvokeSite]) -> str:
 def load_invoke_list_text(path) -> list[InvokeSite]:
     """Load a fixture file; raises MalformedLine naming the first bad line,
     which for a file that is not UTF-8 is the line of its first bad byte."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -157,8 +154,5 @@ def load_invoke_list_text(path) -> list[InvokeSite]:
 
 
 def dump_invoke_list_text(sites: Iterable[InvokeSite], path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(dumps_invoke_list(sites))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(dumps_invoke_list(sites))

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import GranularityMismatch, InvalidProjection, IoFailure, MalformedKey
+from .errors import GranularityMismatch, InvalidProjection, MalformedKey
 from .invokes import MethodRef
 
 logger = logging.getLogger(__name__)
@@ -129,8 +129,6 @@ def load_reference(path, expected: Granularity | None = None) -> ApiReferenceLis
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
     except UnicodeDecodeError as exc:
         raise GranularityMismatch(f"{path}: {exc}") from exc
 
@@ -173,15 +171,12 @@ def load_reference(path, expected: Granularity | None = None) -> ApiReferenceLis
 
 
 def save_reference(ref: ApiReferenceList, path) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# granularity: {ref.granularity.value}\n")
-            if ref.api_level is not None:
-                fh.write(f"# api-level: {ref.api_level}\n")
-            for entry in ref.entries:
-                fh.write(entry + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# granularity: {ref.granularity.value}\n")
+        if ref.api_level is not None:
+            fh.write(f"# api-level: {ref.api_level}\n")
+        for entry in ref.entries:
+            fh.write(entry + "\n")
 
 
 def key_of(target: MethodRef, g: Granularity) -> str | None:

@@ -17,20 +17,29 @@ This module is test/experiment surface, not detection API. It provides
 
 from __future__ import annotations
 
+import csv
 import random
 import struct
 import zipfile
 from dataclasses import dataclass
 from datetime import date, timedelta
 from hashlib import sha1
+from pathlib import Path
 from typing import Iterable, Sequence
 from zlib import adler32
 
 import numpy as np
 
 from .evaluation import InvokeSample
-from .forest import Label
-from .invokes import KIND_BY_OPCODE, OPCODE_BY_KIND, InvokeKind, InvokeSite, MethodRef
+from .forest import CLASS_INDEX, CLASS_ORDER, Label
+from .invokes import (
+    KIND_BY_OPCODE,
+    OPCODE_BY_KIND,
+    InvokeKind,
+    InvokeSite,
+    MethodRef,
+    dump_invoke_list_text,
+)
 from .reference import ApiReferenceList, Granularity, make_reference, project
 
 # ---------------------------------------------------------------------------
@@ -448,19 +457,16 @@ def _encode_mutf8(s: str) -> bytes:
     return bytes(out)
 
 
-def dex_from_invokes(
-    sites: Sequence[InvokeSite],
-    class_path: str = "com/fixture/App",
-    chunk: int = 500,
-) -> bytes:
-    """Package an invoke list as a one-class DEX (callers become the class)."""
+def dex_from_invokes(sites: Sequence[InvokeSite]) -> bytes:
+    """Package an invoke list as a one-class DEX (callers become the class),
+    500 invokes per method."""
     builder = DexBuilder()
     methods = []
-    for i in range(0, max(len(sites), 1), chunk):
-        body: list[Item] = [ins_invoke_site(s) for s in sites[i : i + chunk]]
+    for i in range(0, max(len(sites), 1), 500):
+        body: list[Item] = [ins_invoke_site(s) for s in sites[i : i + 500]]
         body.append(ins_return_void())
-        methods.append(MethodDef(f"run{i // chunk}", "()V", body))
-    builder.add_class(class_path, methods)
+        methods.append(MethodDef(f"run{i // 500}", "()V", body))
+    builder.add_class("com/fixture/App", methods)
     return builder.build()
 
 
@@ -569,21 +575,17 @@ def random_dex(seed: int) -> tuple[bytes, list[InvokeSite]]:
     return builder.build(), list(builder.expected_invokes)
 
 
-def benchmark_dex(
-    seed: int = 0,
-    target_bytes: int = 5 * 1024 * 1024,
-    n_classes: int = 2400,
-    methods_per_class: int = 8,
-) -> bytes:
-    """A large, realistic blob for throughput measurement (~target_bytes)."""
+def benchmark_dex(seed: int = 0) -> bytes:
+    """A large, realistic blob for throughput measurement: 2,400 classes of 8
+    methods, padded with pool strings to about 5 MiB."""
     rng = random.Random(seed)
     builder = DexBuilder()
     pool = list(_SYSTEM_TARGETS)
     for u in range(300):
         pool.append((f"Lcom/app/lib{u % 40}/Util{u};", f"op{u % 17}", "()V"))
-    for c in range(n_classes):
+    for c in range(2400):
         methods = []
-        for m in range(methods_per_class):
+        for m in range(8):
             body: list[Item] = []
             for _ in range(rng.randrange(12, 40)):
                 roll = rng.random()
@@ -601,17 +603,14 @@ def benchmark_dex(
             body.append(ins_return_void())
             methods.append(MethodDef(f"m{m}", "()V", body))
         builder.add_class(f"com/app/mod{c % 60}/Screen{c}", methods)
-    # close the size gap with string-pool payload, like real apps' const data
-    probe = builder.build()
-    gap = target_bytes - len(probe)
+    # close the size gap with string-pool payload, like real apps' const data:
+    # 96-character strings, 102 bytes each with their id and length prefix
+    gap = 5 * 1024 * 1024 - len(builder.build())
     if gap > 0:
-        filler_len = 96
-        count = gap // (filler_len + 6) + 1
         builder.add_filler_strings(
-            f"res/string/value_{i:06d}_" + "x" * (filler_len - 24) for i in range(count)
+            f"res/string/value_{i:06d}_" + "x" * 72 for i in range(gap // 102 + 1)
         )
-    blob = builder.build()
-    return blob
+    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -727,31 +726,18 @@ def temporal_drift_receivers() -> set[str]:
     return out
 
 
-def reference_from_vocab(
-    vocab_keys: Iterable[str],
-    granularity: Granularity,
-    extra_keys: Iterable[str] = (),
-    api_level: int | None = 25,
-) -> ApiReferenceList:
-    method_list = make_reference(
-        Granularity.Method, sorted(set(vocab_keys) | set(extra_keys)), api_level=api_level
-    )
+def reference_from_vocab(vocab_keys: Iterable[str], granularity: Granularity) -> ApiReferenceList:
+    method_list = make_reference(Granularity.Method, sorted(set(vocab_keys)), api_level=25)
     if granularity is Granularity.Method:
         return method_list
     return project(method_list, granularity)
 
 
-_LABEL_COLUMN = {Label.Trusted: 0, Label.GenericMalware: 1, Label.Ransomware: 2}
-
-
 def _counts_for(
-    vocab: dict[str, tuple[float, float, float]],
-    label: Label,
-    rng: np.random.Generator,
-    activity_sigma: float = 0.3,
+    vocab: dict[str, tuple[float, float, float]], label: Label, rng: np.random.Generator
 ) -> dict[str, int]:
-    column = _LABEL_COLUMN[label]
-    activity = float(rng.lognormal(0.0, activity_sigma))
+    column = CLASS_INDEX[label]
+    activity = float(rng.lognormal(0.0, 0.3))
     counts = {}
     for key, lams in vocab.items():
         lam = lams[column] * activity
@@ -775,53 +761,43 @@ def invokes_from_counts(
     return tuple(sites[i] for i in perm)
 
 
-def _random_date(rng: np.random.Generator, start: date, end: date) -> date:
-    span = (end - start).days
-    return start + timedelta(days=int(rng.integers(0, span + 1)))
+_PREFIX = {Label.Trusted: "t", Label.GenericMalware: "m", Label.Ransomware: "r"}
+_YEAR_2016 = (date(2016, 1, 1), date(2016, 12, 31))
 
 
-def generate_corpus(
-    n_per_class: int,
-    seed: int = 0,
-    vocab: dict[str, tuple[float, float, float]] | None = None,
-    date_range: tuple[date, date] = (date(2016, 1, 1), date(2016, 12, 31)),
-) -> list[InvokeSample]:
+def _sample(
+    label: Label, i: int, counts: dict[str, int], dates: tuple[date, date], rng: np.random.Generator
+) -> InvokeSample:
+    """Sample ``i`` of ``label``: draws its first_seen day within ``dates``,
+    then the order of its calls. Every corpus sample is built here."""
+    sample_id = f"{_PREFIX[label]}{i:04d}"
+    start, end = dates
+    first_seen = start + timedelta(days=int(rng.integers(0, (end - start).days + 1)))
+    invokes = invokes_from_counts(counts, f"com/sample/{sample_id}/Main", rng)
+    return InvokeSample(sample_id, label, first_seen, invokes)
+
+
+def generate_corpus(n_per_class: int, seed: int = 0) -> list[InvokeSample]:
     """Labeled invoke-list samples with class-distinct API usage profiles."""
-    vocab = vocab if vocab is not None else EXPERIMENT_VOCAB
     rng = np.random.default_rng((seed, 1))
-    prefixes = {Label.Trusted: "t", Label.GenericMalware: "m", Label.Ransomware: "r"}
-    samples = []
-    for label in (Label.Trusted, Label.GenericMalware, Label.Ransomware):
-        for i in range(n_per_class):
-            counts = _counts_for(vocab, label, rng)
-            caller = f"com/sample/{prefixes[label]}{i:04d}/Main"
-            samples.append(
-                InvokeSample(
-                    sample_id=f"{prefixes[label]}{i:04d}",
-                    label=label,
-                    first_seen=_random_date(rng, *date_range),
-                    invokes=invokes_from_counts(counts, caller, rng),
-                )
-            )
-    return samples
+    return [
+        _sample(label, i, _counts_for(EXPERIMENT_VOCAB, label, rng), _YEAR_2016, rng)
+        for label in CLASS_ORDER
+        for i in range(n_per_class)
+    ]
 
 
 def redistribute_within_packages(
-    counts: dict[str, int],
-    rho: float,
-    rng: np.random.Generator,
-    vocab_keys: Iterable[str],
-    receivers: Iterable[str] | None = None,
+    counts: dict[str, int], rho: float, rng: np.random.Generator, receivers: Iterable[str]
 ) -> dict[str, int]:
     """Move a rho-fraction of each method count onto same-package siblings.
 
     Package sums are preserved exactly, so the transformation cannot be seen
-    at package granularity. ``receivers`` optionally restricts which sibling
-    methods may gain the moved counts.
+    at package granularity. ``receivers`` are the sibling methods that may
+    gain the moved counts.
     """
-    receiver_set = set(receivers) if receivers is not None else set(vocab_keys)
     by_package: dict[str, list[str]] = {}
-    for key in sorted(receiver_set):
+    for key in sorted(set(receivers)):
         package = key.split(";->")[0].rsplit("/", 1)[0]
         by_package.setdefault(package, []).append(key)
     out = dict(counts)
@@ -872,65 +848,24 @@ def generate_temporal_corpus(
     """
     vocab = temporal_vocab()
     rng = np.random.default_rng((seed, 2))
-    samples: list[InvokeSample] = []
-    train_range = (date(2016, 1, 1), date(2016, 12, 31))
-    for i in range(n_trusted):
-        counts = _counts_for(vocab, Label.Trusted, rng)
-        samples.append(
-            InvokeSample(
-                f"t{i:04d}",
-                Label.Trusted,
-                _random_date(rng, *train_range),
-                invokes_from_counts(counts, f"com/sample/t{i:04d}/Main", rng),
-            )
-        )
-    for i in range(n_malware):
-        counts = _counts_for(vocab, Label.GenericMalware, rng)
-        samples.append(
-            InvokeSample(
-                f"m{i:04d}",
-                Label.GenericMalware,
-                _random_date(rng, *train_range),
-                invokes_from_counts(counts, f"com/sample/m{i:04d}/Main", rng),
-            )
-        )
-    for i in range(n_train_ransomware):
-        counts = _counts_for(vocab, Label.Ransomware, rng)
-        samples.append(
-            InvokeSample(
-                f"r{i:04d}",
-                Label.Ransomware,
-                _random_date(rng, *train_range),
-                invokes_from_counts(counts, f"com/sample/r{i:04d}/Main", rng),
-            )
-        )
+    sizes = zip(CLASS_ORDER, (n_trusted, n_malware, n_train_ransomware))
+    samples = [
+        _sample(label, i, _counts_for(vocab, label, rng), _YEAR_2016, rng)
+        for label, n in sizes
+        for i in range(n)
+    ]
     receivers = temporal_drift_receivers()
-    serial = n_train_ransomware
-    for spec in bins:
-        for _ in range(spec.n_samples):
-            counts = _counts_for(vocab, Label.Ransomware, rng)
-            drifted = redistribute_within_packages(
-                counts, spec.drift_rho, rng, vocab, receivers=receivers
-            )
-            samples.append(
-                InvokeSample(
-                    f"r{serial:04d}",
-                    Label.Ransomware,
-                    _random_date(rng, spec.start, spec.end),
-                    invokes_from_counts(drifted, f"com/sample/r{serial:04d}/Main", rng),
-                )
-            )
-            serial += 1
+    drifting = [spec for spec in bins for _ in range(spec.n_samples)]
+    for i, spec in enumerate(drifting, start=n_train_ransomware):
+        counts = _counts_for(vocab, Label.Ransomware, rng)
+        drifted = redistribute_within_packages(counts, spec.drift_rho, rng, receivers)
+        samples.append(_sample(Label.Ransomware, i, drifted, (spec.start, spec.end), rng))
     return samples
 
 
-def write_corpus(directory, samples: Sequence[InvokeSample], family: str = "synthetic"):
-    """Materialize samples as invoke-list files plus a manifest.csv."""
-    import csv
-    from pathlib import Path
-
-    from .invokes import dump_invoke_list_text
-
+def write_corpus(directory, samples: Sequence[InvokeSample]):
+    """Materialize samples as invoke-list files plus a manifest.csv
+    (family "synthetic")."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = directory / "manifest.csv"
@@ -940,5 +875,5 @@ def write_corpus(directory, samples: Sequence[InvokeSample], family: str = "synt
         for s in samples:
             name = f"{s.sample_id}.txt"
             dump_invoke_list_text(s.invokes, directory / name)
-            writer.writerow([name, s.label.value, s.first_seen.isoformat(), family])
+            writer.writerow([name, s.label.value, s.first_seen.isoformat(), "synthetic"])
     return manifest

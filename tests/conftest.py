@@ -174,19 +174,26 @@ def chain_model_doc(depth: int, side: str, fingerprint: str = "chainfp") -> dict
     }
 
 
-# -- apks whose classes.dex entry cannot be inflated ---------------------------
+# -- apks that zipfile cannot read ---------------------------------------------
 
-CORRUPT_STREAMS = ["deflate-xor", "lzma-xor", "method-99", "encrypted-flag", "stored-short"]
+CORRUPT_ZIPS = [
+    "deflate-xor", "lzma-xor", "method-99", "encrypted-flag", "stored-short",
+    "version-needed", "utf8-name",
+]
 
 
 def corrupt_apk_bytes(kind: str) -> bytes:
     """A one-entry apk whose ``classes.dex`` entry (an empty dex, repeated) is
     damaged in the named way.
 
-    The central directory stays well-formed, so the archive opens and only
-    reading the entry fails. ``encrypted-flag`` sets general-purpose bit 0,
-    which Android's installer ignores; ``stored-short`` declares sizes past
-    the end of the archive.
+    The first five kinds damage the entry's stream and keep the central
+    directory well-formed, so the archive opens and only reading the entry
+    fails. ``encrypted-flag`` sets general-purpose bit 0, which Android's
+    installer ignores; ``stored-short`` declares sizes past the end of the
+    archive. The last two damage the central directory, so opening the
+    archive fails: ``version-needed`` declares "version needed to extract"
+    15.1, and ``utf8-name`` sets the UTF-8 name flag (bit 11) on a name
+    with a 0xFF byte.
     """
     method = {"lzma-xor": zipfile.ZIP_LZMA, "stored-short": zipfile.ZIP_STORED}
     buf = io.BytesIO()
@@ -206,4 +213,9 @@ def corrupt_apk_bytes(kind: str) -> bytes:
     elif kind == "stored-short":
         big = (1 << 20).to_bytes(4, "little")
         raw[18:22] = raw[22:26] = raw[cd + 20 : cd + 24] = raw[cd + 24 : cd + 28] = big
+    elif kind == "version-needed":
+        raw[cd + 6 : cd + 8] = (151).to_bytes(2, "little")
+    elif kind == "utf8-name":
+        raw[cd + 9] |= 0x08
+        raw[cd + 46] = 0xFF
     return bytes(raw)

@@ -9,9 +9,9 @@ import zlib
 import pytest
 
 from apksift.apk import open_apk
-from apksift.errors import IoFailure, NoDexFound, NotAZipArchive
+from apksift.errors import NoDexFound, NotAZipArchive
 
-from conftest import CORRUPT_STREAMS, corrupt_apk_bytes
+from conftest import CORRUPT_ZIPS, corrupt_apk_bytes
 
 
 def make_zip(entries: dict[str, bytes]) -> bytes:
@@ -77,8 +77,12 @@ def test_truncated_central_directory(tmp_path):
 
 @pytest.mark.parametrize(
     "kind, cause",
-    zip(CORRUPT_STREAMS, [zlib.error, lzma.LZMAError, NotImplementedError, RuntimeError, EOFError]),
-    ids=CORRUPT_STREAMS,
+    zip(
+        CORRUPT_ZIPS,
+        [zlib.error, lzma.LZMAError, NotImplementedError, RuntimeError, EOFError,
+         NotImplementedError, UnicodeDecodeError],
+    ),
+    ids=CORRUPT_ZIPS,
 )
 def test_corrupt_dex_stream_is_not_a_zip(tmp_path, kind, cause):
     path = tmp_path / "corrupt.apk"
@@ -89,7 +93,7 @@ def test_corrupt_dex_stream_is_not_a_zip(tmp_path, kind, cause):
 
 
 def test_missing_file():
-    with pytest.raises(IoFailure):
+    with pytest.raises(FileNotFoundError):
         open_apk("/nonexistent/nowhere.apk")
 
 

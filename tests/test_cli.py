@@ -1,9 +1,14 @@
 """Command-line surface: exit-code taxonomy, determinism, stream hygiene."""
 
+import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apksift.cli import main
 from apksift.features import extract_features
@@ -14,12 +19,13 @@ from apksift.synth import (
     dex_from_invokes,
     generate_corpus,
     generate_temporal_corpus,
+    random_dex,
     reference_from_vocab,
     write_apk,
     write_corpus,
 )
 
-from conftest import CORRUPT_STREAMS, chain_model_doc, corrupt_apk_bytes, locker_body
+from conftest import CORRUPT_ZIPS, chain_model_doc, corrupt_apk_bytes, locker_body
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +115,16 @@ def test_scan_corrupt_apk_exit_3(workspace, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 3
     assert "NotAZipArchive" in err
+
+
+def test_scan_missing_file_exit_3(workspace, tmp_path, capsys):
+    missing = tmp_path / "missing.apk"
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(
+        ["scan", str(missing), "--model", str(workspace["model"]), "--reference", str(ref_path)]
+    )
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_scan_fingerprint_mismatch_exit_4(workspace, capsys):
@@ -335,19 +351,24 @@ def test_duplicate_manifest_path_is_a_usage_error(workspace, tmp_path, capsys, c
 
 @pytest.mark.parametrize("command", ["extract", "train", "eval-obfuscation"])
 @pytest.mark.parametrize(
-    "path, message",
-    [("r\0.txt", ":3: NUL byte in path"), ("r\udcff.txt", ": not UTF-8 (invalid start byte)")],
-    ids=["nul-in-path", "not-utf8"],
+    "row, message",
+    [
+        ("r\0.txt,ransomware,2016-01-01,x", ":3: NUL byte in path"),
+        ("r\udcff.txt,ransomware,2016-01-01,x", ": not UTF-8 (invalid start byte)"),
+        ("r0000.txt", ":3: row has no path or label field"),
+        ("r" * 140_000 + ".txt,ransomware", ": field larger than field limit (131072)"),
+    ],
+    ids=["nul-in-path", "not-utf8", "short-row", "oversize-field"],
 )
-def test_unreadable_manifest_is_a_usage_error(workspace, tmp_path, capsys, command, path, message):
+def test_unreadable_manifest_is_a_usage_error(workspace, tmp_path, capsys, command, row, message):
     corpus = Path(workspace["manifest"]).parent
-    rows = [f"{corpus / 't0000.txt'},trusted,2016-01-02,x", f"{path},ransomware,2016-01-01,x"]
+    rows = [f"{corpus / 't0000.txt'},trusted,2016-01-02,x", row]
     manifest, rc, err = _run_on_manifest(workspace, tmp_path, capsys, command, rows)
     assert rc == 2
     assert err == f"error: {manifest}{message}\n"
 
 
-@pytest.mark.parametrize("kind", CORRUPT_STREAMS)
+@pytest.mark.parametrize("kind", CORRUPT_ZIPS)
 def test_corrupt_dex_stream_exit_3_and_row_skipped(workspace, tmp_path, capsys, caplog, kind):
     bad = tmp_path / "bad.apk"
     bad.write_bytes(corrupt_apk_bytes(kind))
@@ -526,3 +547,118 @@ def test_negative_top_exit_2(workspace, tmp_path, capsys, command):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: --top -1 < 0\n"
+
+
+def test_manifest_row_without_optional_columns_loads(workspace, tmp_path, capsys):
+    corpus = Path(workspace["manifest"]).parent
+    rows = [f"{corpus / 't0000.txt'},trusted", f"{corpus / 'r0000.txt'},ransomware,2016-01-01"]
+    _, rc, err = _run_on_manifest(workspace, tmp_path, capsys, "extract", rows)
+    assert rc == 0 and err == ""
+    assert len((tmp_path / "f.csv").read_text().splitlines()) == 1 + 2
+
+
+# -- hostile inputs: every input ends in an exit code and one error line -------
+
+_FUZZ = settings(derandomize=True, deadline=None, database=None, max_examples=200)
+
+# (operation, position, byte); positions wrap around the input's length
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "set", "insert", "delete", "truncate"]),
+        st.integers(0, 2**32),
+        st.integers(0, 255),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _mutate(data: bytes, edits) -> bytes:
+    out = bytearray(data)
+    for op, pos, value in edits:
+        i = pos % (len(out) + 1)
+        if op == "insert":
+            out[i:i] = bytes([value])
+        elif op == "truncate":
+            del out[i:]
+        elif i < len(out):
+            if op == "set":
+                out[i] = value
+            else:
+                del out[i : i + 1]
+    return bytes(out)
+
+
+def _assert_contract(argv):
+    """main returns an exit code of the taxonomy and prints at most one error line."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(argv)
+    assert rc in {0, 2, 3, 4, 10, 11}
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(workspace):
+    """Per input kind: (valid bytes, file the mutation is written to, argv reading it)."""
+    root = workspace["root"] / "fuzz"
+    root.mkdir()
+    corpus = Path(workspace["manifest"]).parent
+    manifest = "path,label,first_seen,family\n" + "".join(
+        f"../corpus/{name}.txt,{label},2016-01-02,x\n"
+        for name, label in (("t0000", "trusted"), ("m0000", "malware"), ("r0000", "ransomware"))
+    )
+    model, (_, ref) = str(workspace["model"]), workspace["refs"][Granularity.Package]
+    scan = ["scan", "--model", model, "--reference", str(ref)]
+    benign = str(workspace["benign_apk"])
+    kinds = {
+        "apk": (workspace["benign_apk"].read_bytes(), "input.apk", scan),
+        "invoke-list": ((corpus / "r0000.txt").read_bytes(), "input.txt", scan),
+        "reference": (ref.read_bytes(), "input.ref", ["scan", benign, "--model", model, "--reference"]),
+        "manifest": (manifest.encode(), "input.csv",
+                     ["extract", "--reference", str(ref), "--out-csv", str(root / "f.csv"), "--manifest"]),
+        "model": (workspace["model"].read_bytes(), "input.json", ["scan", benign, "--reference", str(ref), "--model"]),
+    }
+    return root, kinds
+
+
+@pytest.mark.parametrize("kind", ["apk", "invoke-list", "reference", "manifest", "model"])
+@_FUZZ
+@given(edits=_EDITS)
+def test_mutated_input_reaches_an_exit_code(fuzz_inputs, kind, edits):
+    root, kinds = fuzz_inputs
+    data, name, argv = kinds[kind]
+    path = root / name
+    path.write_bytes(_mutate(data, edits))
+    _assert_contract(argv + [str(path)])
+
+
+@settings(_FUZZ, max_examples=300)
+@given(edits=_EDITS, strict=st.booleans())
+def test_mutated_dex_reaches_an_exit_code(fuzz_inputs, workspace, edits, strict):
+    """The dex is mutated before it is zipped: mutating the archive trips the
+    zip CRC check, so the DEX parser would never see the damage."""
+    root, kinds = fuzz_inputs
+    path = root / "dex.apk"
+    write_apk(path, [_mutate(random_dex(1)[0], edits)])
+    _assert_contract(kinds["apk"][2] + [str(path)] + ["--strict-dex"] * strict)
+
+
+_MANIFEST_FIELDS = st.one_of(
+    st.sampled_from(["../corpus/t0000.txt", "../corpus/r0000.txt", "trusted", "ransomware",
+                     "2016-01-02", "2016-13-45", "path", "label", ""]),
+    st.text(max_size=6),
+    st.just("y" * 140_000),
+)
+
+
+@_FUZZ
+@given(rows=st.lists(st.lists(_MANIFEST_FIELDS, max_size=5), max_size=4))
+def test_manifest_rows_reach_an_exit_code(fuzz_inputs, rows):
+    root, kinds = fuzz_inputs
+    path = root / "rows.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path", "label", "first_seen", "family"])
+        writer.writerows(rows)
+    _assert_contract(kinds["manifest"][2] + [str(path)])

@@ -102,7 +102,5 @@ def test_file_round_trip(tmp_path):
 
 
 def test_io_failure(tmp_path):
-    from apksift.errors import IoFailure
-
-    with pytest.raises(IoFailure):
+    with pytest.raises(FileNotFoundError):
         load_invoke_list_text(tmp_path / "missing.txt")
