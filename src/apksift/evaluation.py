@@ -696,7 +696,8 @@ def load_manifest(path) -> list[ManifestRow]:
             required = {"path", "label"}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):
                 raise ConfigError(f"{path}: manifest needs columns path,label[,first_seen,family]")
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
+                lineno = reader.line_num  # blank lines and quoted newlines count
                 if row["path"] is None or row["label"] is None:
                     raise ConfigError(f"{path}:{lineno}: row has no path or label field")
                 sample_path = row["path"].strip()

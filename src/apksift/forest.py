@@ -16,6 +16,15 @@ replacement. Only the number of trees and the seed are hyperparameters.
 Thresholds are midpoints between consecutive distinct feature values; ties
 in gain break toward the lowest feature index, then the lowest threshold.
 
+The split search is exact. Each fit replaces every feature value by its rank
+among the column's distinct values, once. A node then makes one np.bincount
+over (candidate, rank, class) keys and one cumsum, which give the left class
+counts at every value present in the node for all candidates at once. A
+vector gain screens those boundaries, and every boundary within 1e-9 of its
+maximum is re-scored by the scalar gain in (feature, threshold) order, so the
+split and gain chosen are bit-identical to scoring each boundary by the
+scalar gain. A threshold maps back through the feature's distinct values.
+
 A tree is the model file's own pre-order node list: a split is ("s",
 feature, threshold), sending a sample left iff counts[feature] <= threshold,
 and a leaf is ("l", p0, p1, p2), the class distribution of the training
@@ -237,37 +246,63 @@ def information_gain(data: LabeledDataset, feature_index: int, threshold: float)
     return _split_gain(total, left, _entropy_of(total))
 
 
-def _best_for_feature(
-    values: np.ndarray,
-    labels: np.ndarray,
-    total: tuple[int, int, int],
-    h_total: float,
-) -> tuple[float, float] | None:
-    """Best (gain, threshold) for one feature; None if no positive-gain split.
+def _rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
+    """Each entry's rank in its column, and each column's distinct values."""
+    ranks = np.empty(X.shape, dtype=np.intp)
+    values = []
+    for f in range(X.shape[1]):
+        distinct, ranks[:, f] = np.unique(X[:, f], return_inverse=True)
+        values.append(distinct.tolist())
+    return ranks, values
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    gain ties keep the lowest threshold.
-    """
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    boundaries = np.nonzero(sv[1:] != sv[:-1])[0]
-    if boundaries.size == 0:
+
+def _xlog2x(c: np.ndarray) -> np.ndarray:
+    return c * np.log2(np.maximum(c, 1))
+
+
+def _split_search(
+    R: np.ndarray, y: np.ndarray, counts: tuple[int, int, int], candidates: list[int], values
+) -> tuple[float, int, int, float] | None:
+    """Best (gain, feature, rank, threshold) over ascending candidates, by the
+    histogram search of the module docstring; None if no split has positive
+    gain. A sample goes left iff its rank is <= rank (value <= threshold)."""
+    if not candidates:
         return None
-    sl = labels[order]
-    c0 = np.cumsum(sl == 0).tolist()
-    c1 = np.cumsum(sl == 1).tolist()
-    c2 = np.cumsum(sl == 2).tolist()
-    svl = sv.tolist()
-    best_gain = 0.0
-    best_thr = None
-    for i in boundaries.tolist():
-        gain = _split_gain(total, (c0[i], c1[i], c2[i]), h_total)
-        if gain > best_gain:
-            best_gain = gain
-            best_thr = (svl[i] + svl[i + 1]) / 2
-    if best_thr is None:
+    sub = R[:, candidates]
+    lo = sub.min(axis=0)
+    width = sub.max(axis=0) - lo + 1
+    end = np.cumsum(width)  # candidate j owns histogram rows [end - width, end)
+    offset = end - width - lo
+    keys = (sub + offset) * N_CLASSES + y[:, None]
+    hist = np.bincount(keys.ravel(), minlength=int(end[-1]) * N_CLASSES).reshape(-1, N_CLASSES)
+    present = np.flatnonzero(hist.any(axis=1))
+    block = np.searchsorted(end, present, side="right")
+    at = np.flatnonzero(block[1:] == block[:-1])  # present values with a successor
+    if at.size == 0:
         return None
-    return best_gain, best_thr
+    pos, j = present[at], block[at]
+    total = np.asarray(counts)
+    # each candidate's rows sum to counts, so subtract the blocks before it
+    left = hist.cumsum(axis=0)[pos] - j[:, None] * total
+    nl = left.sum(axis=1)
+    n = len(y)
+    h_total = _entropy_of(counts)
+    gain = h_total - (
+        _xlog2x(nl) - _xlog2x(left).sum(axis=1)
+        + _xlog2x(n - nl) - _xlog2x(total - left).sum(axis=1)
+    ) / n
+    best, best_gain = None, 0.0
+    for k in np.flatnonzero(gain >= gain.max() - 1e-9).tolist():
+        g = _split_gain(counts, tuple(left[k].tolist()), h_total)
+        if g > best_gain:
+            best, best_gain = k, g
+    if best is None:
+        return None
+    jb = int(j[best])
+    feature = candidates[jb]
+    rank = int(pos[best] - offset[jb])
+    upper = int(present[at[best] + 1] - offset[jb])
+    return best_gain, feature, rank, (values[feature][rank] + values[feature][upper]) / 2
 
 
 def best_split(
@@ -280,29 +315,13 @@ def best_split(
     candidate has positive gain.
     """
     X, y = data.to_arrays()
+    R, values = _rank_columns(X)
     candidates = sorted(set(int(i) for i in candidate_feature_indices))
-    best = _search(X, y, data.class_counts(), candidates)
+    best = _split_search(R, y, data.class_counts(), candidates, values)
     if best is None:
         raise NoUsefulSplit("no candidate feature/threshold has positive gain")
-    gain, feature, threshold = best
+    gain, feature, _, threshold = best
     return feature, threshold, gain
-
-
-def _search(
-    X: np.ndarray,
-    y: np.ndarray,
-    counts: tuple[int, int, int],
-    candidates: Sequence[int],
-) -> tuple[float, int, float] | None:
-    """Best (gain, feature, threshold) over ascending candidates; None if no
-    positive-gain split. A gain tie keeps the earlier (lower) feature."""
-    h_total = _entropy_of(counts)
-    best: tuple[float, int, float] | None = None
-    for f in candidates:
-        res = _best_for_feature(X[:, f], y, counts, h_total)
-        if res is not None and (best is None or res[0] > best[0]):
-            best = (res[0], f, res[1])
-    return best
 
 
 # -- training ----------------------------------------------------------------
@@ -313,28 +332,33 @@ def _label_counts(y: np.ndarray) -> tuple[int, int, int]:
     return (int(b[0]), int(b[1]), int(b[2]))
 
 
-def _grow(X: np.ndarray, y: np.ndarray, rng: np.random.Generator, m: int) -> list[tuple]:
-    """One tree's nodes in pre-order. The stack pops each left subtree before
-    its right sibling, so nodes draw their feature subsets in pre-order."""
+def _grow(R: np.ndarray, y: np.ndarray, rng: np.random.Generator, m: int, values) -> Tree:
+    """One tree grown on rank-compressed features. The stack pops each left
+    subtree before its right sibling, so nodes draw their feature subsets in
+    pre-order; a right subtree's entry carries its parent's index."""
     nodes: list[tuple] = []
-    stack = [(X, y)]
+    right: list[int] = []
+    stack = [(R, y, -1)]
     while stack:
-        X, y = stack.pop()
+        R, y, parent = stack.pop()
+        if parent >= 0:
+            right[parent] = len(nodes)
         counts = _label_counts(y)
         n = len(y)
         best = None
         if max(counts) < n:  # impure, hence n >= 2
-            candidates = np.sort(rng.choice(X.shape[1], size=m, replace=False)).tolist()
-            best = _search(X, y, counts, candidates)
+            candidates = np.sort(rng.choice(R.shape[1], size=m, replace=False)).tolist()
+            best = _split_search(R, y, counts, candidates, values)
+        right.append(0)
         if best is None:
             nodes.append(("l", counts[0] / n, counts[1] / n, counts[2] / n))
             continue
-        _, feature, threshold = best
+        _, feature, rank, threshold = best
+        mask = R[:, feature] <= rank
+        stack.append((R[~mask], y[~mask], len(nodes)))
+        stack.append((R[mask], y[mask], -1))
         nodes.append(("s", feature, threshold))
-        mask = X[:, feature] <= threshold
-        stack.append((X[~mask], y[~mask]))
-        stack.append((X[mask], y[mask]))
-    return nodes
+    return Tree(tuple(nodes), tuple(right))
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -353,11 +377,12 @@ def train_forest(data: LabeledDataset, hp: Hyperparams) -> RandomForestModel:
     if d < 1:
         raise InvalidHyperparams("feature dimension is zero")
     m = math.isqrt(d - 1) + 1  # ceil(sqrt(d)), never above d
+    R, values = _rank_columns(X)
     trees = []
     for t in range(hp.n_trees):
         rng = tree_rng(hp.seed, t)
         boot = rng.integers(0, n, size=n)
-        trees.append(Tree.from_nodes(_grow(X[boot], y[boot], rng, m), d))
+        trees.append(_grow(R[boot], y[boot], rng, m, values))
     return RandomForestModel(
         trees=tuple(trees),
         hyperparams=hp,
@@ -504,10 +529,10 @@ def rank_features(datasets: Sequence[LabeledDataset]) -> list[tuple[int, float]]
     sums = [0.0] * d
     for ds in datasets:
         X, y = ds.to_arrays()
+        R, values = _rank_columns(X)
         total = ds.class_counts()
-        h_total = _entropy_of(total)
         for f in range(d):
-            res = _best_for_feature(X[:, f], y, total, h_total)
+            res = _split_search(R, y, total, [f], values)
             if res is not None:
                 sums[f] += res[0]
     k = len(datasets)

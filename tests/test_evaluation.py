@@ -15,6 +15,7 @@ from apksift.evaluation import (
     TemporalSplitSpec,
     dataset_from_invoke_samples,
     emit_report,
+    load_manifest,
     obfuscation_eval,
     operating_point,
     random_split_eval,
@@ -397,3 +398,22 @@ def test_unknown_format_token(tmp_path):
     report = random_split_eval(data, repeats=1, seed=3, grid=[5])
     with pytest.raises(UsageError):
         emit_report(report, "parquet", tmp_path / "x")
+
+
+# -- manifest --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'path,label\n"a\nb.txt",trusted\nc.txt,bogus\n',
+        "path,label\na.txt,trusted\n\nc.txt,bogus\n",
+    ],
+    ids=["after-multiline-path", "after-blank-line"],
+)
+def test_manifest_error_names_the_file_line(tmp_path, text):
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_manifest(manifest)
+    assert str(info.value) == f"{manifest}:4: unknown label 'bogus'"

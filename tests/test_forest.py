@@ -1,6 +1,7 @@
 """Random forest: entropy/gain identities, induction determinism,
 persistence, and the exhaustive split-search oracle."""
 
+import hashlib
 import math
 from datetime import date
 
@@ -146,27 +147,37 @@ def test_best_split_no_useful_split():
         best_split(data, [0, 1])
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(
-        st.tuples(
-            st.lists(st.integers(min_value=0, max_value=5), min_size=3, max_size=3),
-            st.sampled_from([T, M, R]),
-        ),
-        min_size=2,
-        max_size=8,
+def rows_of(max_value):
+    """2-40 labelled rows of 1-4 counts in 0..max_value."""
+    return st.integers(min_value=1, max_value=4).flatmap(
+        lambda d: st.lists(
+            st.tuples(
+                st.lists(st.integers(min_value=0, max_value=max_value), min_size=d, max_size=d),
+                st.sampled_from([T, M, R]),
+            ),
+            min_size=2,
+            max_size=40,
+        )
     )
-)
+
+
+def midpoint_gains(data, rows, f):
+    """(threshold, information gain) at every midpoint of feature f."""
+    values = sorted({r[0][f] for r in rows})
+    thresholds = [(lo + hi) / 2 for lo, hi in zip(values, values[1:])]
+    return [(thr, information_gain(data, f, thr)) for thr in thresholds]
+
+
+# values up to 1000 spread the histogram; values 0..1 make most boundaries tie
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([1, 1000]).flatmap(rows_of))
 def test_best_split_matches_exhaustive_enumeration(rows):
     data = ds([(tuple(counts), label) for counts, label in rows])
-    d = 3
+    d = len(rows[0][0])
     # independent oracle: enumerate every feature and midpoint threshold
-    candidates = []
-    for f in range(d):
-        values = sorted({r[0][f] for r in rows})
-        for lo, hi in zip(values, values[1:]):
-            thr = (lo + hi) / 2
-            candidates.append((f, thr, information_gain(data, f, thr)))
+    candidates = [
+        (f, thr, gain) for f in range(d) for thr, gain in midpoint_gains(data, rows, f)
+    ]
     best = None
     for f, thr, gain in candidates:
         if gain > 0 and (best is None or gain > best[2]):
@@ -275,6 +286,42 @@ def test_adding_trees_preserves_prefix():
     small = train_forest(data, Hyperparams(n_trees=3, seed=5))
     large = train_forest(data, Hyperparams(n_trees=6, seed=5))
     assert large.trees[:3] == small.trees
+
+
+def test_grown_trees_equal_their_validated_node_lists():
+    data = ds(separable_rows(8))
+    model = train_forest(data, Hyperparams(n_trees=6, seed=4))
+    for tree in model.trees:
+        assert Tree.from_nodes(list(tree.nodes), model.feature_dim) == tree
+
+
+def value_range_dataset(seed, high):
+    """900 rows of 33 counts below high; the label follows the sum of the
+    first three counts, with one row in ten relabelled at random."""
+    rng = np.random.default_rng(seed)
+    X = rng.integers(0, high, size=(900, 33))
+    y = (X[:, 0] + X[:, 1] + X[:, 2]) * 3 // (3 * high)
+    y = np.where(rng.random(900) < 0.1, rng.integers(0, 3, size=900), y)
+    return LabeledDataset(
+        LabeledSample(f"s{i}", FeatureVector(tuple(row), "pin"), CLASS_ORDER[c])
+        for i, (row, c) in enumerate(zip(X.tolist(), y.tolist()))
+    )
+
+
+# digests of the model files grown by the per-feature sorted scan that the
+# histogram search replaced; the two searches must agree byte for byte
+@pytest.mark.parametrize(
+    "seed, high, digest",
+    [
+        (0, 20, "065a4cdcb64c65315c72b76f7bf1bbf027cba56b8a94b6b9d088dc119802d26b"),
+        (1, 200, "b620091d0747e4e9fb1c175331b7da505bb7fc68f86523df02ea50f2a71c8191"),
+        (2, 5000, "6cb74cb4d29bf26bf7ecfa62c2d658a36bd9ba9ee973989dfb96a806e5316f54"),
+    ],
+    ids=["below-20", "below-200", "below-5000"],
+)
+def test_forest_bytes_pinned_across_value_ranges(seed, high, digest):
+    model = train_forest(value_range_dataset(seed, high), Hyperparams(n_trees=10, seed=seed))
+    assert hashlib.sha256(dumps_model(model).encode()).hexdigest() == digest
 
 
 def test_monotone_leaf_property():
@@ -394,6 +441,20 @@ def test_rank_mean_over_identical_datasets_is_identity():
     single = rank_features([data])
     five = rank_features([data] * 5)
     assert five == single
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([1, 1000]).flatmap(rows_of), min_size=1, max_size=3))
+def test_rank_matches_brute_force(datasets_rows):
+    d = min(len(rows[0][0]) for rows in datasets_rows)
+    datasets_rows = [[(counts[:d], label) for counts, label in rows] for rows in datasets_rows]
+    datasets = [ds(rows) for rows in datasets_rows]
+    sums = [0.0] * d
+    for data, rows in zip(datasets, datasets_rows):
+        for f in range(d):
+            sums[f] += max([0.0] + [gain for _, gain in midpoint_gains(data, rows, f)])
+    expected = sorted(((f, sums[f] / len(datasets)) for f in range(d)), key=lambda r: (-r[1], r[0]))
+    assert rank_features(datasets) == expected
 
 
 def test_rank_fingerprint_mismatch():
