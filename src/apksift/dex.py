@@ -6,6 +6,15 @@ each instruction stream with the fixed opcode-size table, emitting one
 record per invoke-type instruction. Nothing is executed or verified beyond
 structural sanity; debug info, annotations and try/catch tables are skipped.
 
+``count_invoke_targets`` walks a dex with ``BATCH_MIN_ITEMS`` code items or
+more in lock-step: each numpy step decodes the next instruction of every
+live item at once, and the scalar walker ``_walk_into`` finishes the last
+few long items from where the lock-step walk left them. A dex with fewer
+items, and every dex in ``extract_invokes``, takes only the scalar walker.
+On any fault the lock-step walk gives up and the dex is walked again by
+the scalar code alone, so a malformed dex raises the same first error, in
+walk order, whichever path saw it.
+
 Parsing is lenient by default (malware is frequently slightly malformed);
 ``strict=True`` additionally verifies the header Adler-32 checksum and
 eagerly decodes the whole string pool.
@@ -18,6 +27,8 @@ import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dalvik import (
     FILL_ARRAY_IDENT,
     OPCODE_BYTES,
@@ -26,6 +37,7 @@ from .dalvik import (
     payload_units,
 )
 from .errors import (
+    ApksiftError,
     BadMagic,
     ChecksumMismatch,
     InvalidSequence,
@@ -41,6 +53,17 @@ ENDIAN_TAG = 0x12345678
 SUPPORTED_VERSIONS = (35, 36, 37, 38, 39)
 
 _HEADER_TAIL = struct.Struct("<20I")  # 20 u32 fields from offset 32
+
+# A dex with at least this many code items is walked in lock-step numpy
+# steps; once fewer than this many items are still live, the scalar walker
+# finishes them one by one. Per dex, lock-step breaks even with the scalar
+# walk at about 200-250 code items.
+BATCH_MIN_ITEMS = 256
+
+_STEP_BYTES = np.frombuffer(OPCODE_BYTES, np.uint8).astype(np.int64)
+_IS_INVOKE = np.zeros(256, bool)
+_IS_INVOKE[0x6E:0x79] = True
+_IS_INVOKE[0x73] = False  # the unused gap opcode inside the invoke family
 
 
 def read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
@@ -209,14 +232,14 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     table(class_defs_off, class_defs_size, 32, "class_defs")
 
     string_offsets = struct.unpack_from(f"<{string_ids_size}I", blob, string_ids_off)
-    for off in string_offsets:
-        if off >= len(blob):
-            raise StructuralError(f"string_data_off {off} out of bounds")
+    if max(string_offsets, default=-1) >= len(blob):
+        off = next(off for off in string_offsets if off >= len(blob))
+        raise StructuralError(f"string_data_off {off} out of bounds")
 
     type_string_idx = struct.unpack_from(f"<{type_ids_size}I", blob, type_ids_off)
-    for idx in type_string_idx:
-        if idx >= string_ids_size:
-            raise StructuralError(f"type_id string index {idx} out of range")
+    if max(type_string_idx, default=-1) >= string_ids_size:
+        idx = next(idx for idx in type_string_idx if idx >= string_ids_size)
+        raise StructuralError(f"type_id string index {idx} out of range")
     type_names = tuple(_string(blob, string_offsets[i]) for i in type_string_idx)
 
     proto_table = []
@@ -268,10 +291,15 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
 def _read_class_data(blob: bytes, off: int, method_ids_size: int) -> tuple[int, ...]:
     """Walk one class_data_item; return the non-zero code offsets of its methods."""
     try:
-        static_fields, off = read_uleb128(blob, off)
-        instance_fields, off = read_uleb128(blob, off)
-        direct_methods, off = read_uleb128(blob, off)
-        virtual_methods, off = read_uleb128(blob, off)
+        head = blob[off : off + 4]
+        if len(head) == 4 and max(head) < 0x80:  # four one-byte sizes
+            static_fields, instance_fields, direct_methods, virtual_methods = head
+            off += 4
+        else:
+            static_fields, off = read_uleb128(blob, off)
+            instance_fields, off = read_uleb128(blob, off)
+            direct_methods, off = read_uleb128(blob, off)
+            virtual_methods, off = read_uleb128(blob, off)
         for _ in range(static_fields + instance_fields):
             _, off = read_uleb128(blob, off)  # field_idx_diff
             _, off = read_uleb128(blob, off)  # access_flags
@@ -294,9 +322,23 @@ def _read_class_data(blob: bytes, off: int, method_ids_size: int) -> tuple[int, 
                     off += 1
                 else:
                     _, off = read_uleb128(blob, off)
+                # code offsets of a large dex take 3-4 bytes; decode up to 4
+                # inline and leave the 5-byte form and the blob's last bytes
+                # to read_uleb128
                 b = blob[off]
                 if b < 0x80:
                     code_off, off = b, off + 1
+                elif off + 4 < blob_len:
+                    b1, b2, b3 = blob[off + 1 : off + 4]
+                    if b1 < 0x80:
+                        code_off, off = (b & 0x7F) | b1 << 7, off + 2
+                    elif b2 < 0x80:
+                        code_off, off = (b & 0x7F) | (b1 & 0x7F) << 7 | b2 << 14, off + 3
+                    elif b3 < 0x80:
+                        code_off = (b & 0x7F) | (b1 & 0x7F) << 7 | (b2 & 0x7F) << 14 | b3 << 21
+                        off += 4
+                    else:
+                        code_off, off = read_uleb128(blob, off)
                 else:
                     code_off, off = read_uleb128(blob, off)
                 if code_off:
@@ -310,19 +352,25 @@ def _read_class_data(blob: bytes, off: int, method_ids_size: int) -> tuple[int, 
     return tuple(code_offs)
 
 
-def _walk_into(data: bytes, code_off: int, append) -> None:
+def _walk_into(
+    data: bytes, code_off: int, append, pos: int | None = None, end: int = 0
+) -> None:
     """Walk one code item's instruction stream.
 
     Calls ``append`` with the packed hit ``(method_idx << 8) | opcode`` for
     every invoke instruction (35c and 3rc formats; the method index is the
     second code unit in both). Raises StructuralError if the decoded
-    instruction sizes do not tile insns_size exactly.
+    instruction sizes do not tile insns_size exactly. Without ``pos`` the
+    walk starts at the item's first instruction; the lock-step walk
+    (``_walk_batched``) passes the byte range ``[pos, end)`` it left unwalked
+    when it hands a long item over.
     """
-    insns_units = struct.unpack_from("<I", data, code_off + 12)[0]
-    pos = code_off + 16
-    end = pos + insns_units * 2
-    if end > len(data):
-        raise StructuralError(f"code item at {code_off} runs past end of blob")
+    if pos is None:
+        insns_units = struct.unpack_from("<I", data, code_off + 12)[0]
+        pos = code_off + 16
+        end = pos + insns_units * 2
+        if end > len(data):
+            raise StructuralError(f"code item at {code_off} runs past end of blob")
     sizes = OPCODE_BYTES
     while pos < end:
         op = data[pos]
@@ -354,6 +402,65 @@ def _walk_into(data: bytes, code_off: int, append) -> None:
         raise StructuralError(
             f"instruction stream at {code_off} overruns insns_size by {(pos - end) // 2} units"
         )
+
+
+def _walk_batched(blob: bytes, code_offs: list[int]) -> np.ndarray:
+    """Walk every code item in lock-step; return the packed hits.
+
+    Each numpy step decodes the next instruction of every live item, so a
+    dex takes about as many steps as its longest method has instructions,
+    not one Python loop per item. Hits come grouped by step, not in walk
+    order. Once fewer than ``BATCH_MIN_ITEMS`` items are live, ``_walk_into``
+    finishes each one from its current position. A fault raises a
+    StructuralError that does not say where: the caller catches it and
+    walks the dex again with the scalar code alone, which raises the first
+    fault in walk order.
+    """
+    data = np.frombuffer(blob, np.uint8)
+    header = np.array(code_offs, np.int64) + 12  # insns_size, a u32
+    units = sum(data[header + k].astype(np.int64) << (8 * k) for k in range(4))
+    pos = header + 4
+    end = pos + 2 * units
+    if end.max(initial=0) > len(blob):
+        raise StructuralError("code item runs past end of blob")
+    item = np.flatnonzero(pos < end)
+    pos, end = pos[item], end[item]
+    hit_parts = []
+    while len(item) >= BATCH_MIN_ITEMS:
+        op = data.take(pos)
+        step = _STEP_BYTES.take(op)
+        invoke = _IS_INVOKE.take(op)
+        if invoke.any():
+            # an invoke cut by the end of its item overruns below; "clip"
+            # keeps its operand read inside the blob until then
+            at = pos[invoke]
+            hit_parts.append(
+                (data.take(at + 3, mode="clip").astype(np.int64) << 16)
+                | (data.take(at + 2, mode="clip").astype(np.int64) << 8)
+                | op[invoke]
+            )
+        nops = np.flatnonzero(op == 0)
+        if len(nops):
+            # payload pseudo-instructions (idents 1-3) are rare; size them one by one
+            ident = data.take(pos[nops] + 1)
+            for i in nops[(ident >= 1) & (ident <= 3)].tolist():
+                size = payload_units(blob, int(pos[i]), int(end[i]))
+                if size < 0:
+                    raise StructuralError("truncated payload")
+                step[i] = size * 2
+        pos += step
+        left = end - pos
+        done = left <= 0
+        if done.any():
+            if left.min() < 0:
+                raise StructuralError("instruction stream overruns insns_size")
+            live = ~done
+            pos, end, item = pos[live], end[live], item[live]
+    tail: list[int] = []
+    for i, start, stop in zip(item.tolist(), pos.tolist(), end.tolist()):
+        _walk_into(blob, code_offs[i], tail.append, start, stop)
+    hit_parts.append(np.array(tail, np.int64))
+    return np.concatenate(hit_parts)
 
 
 def _normalize_class_descriptor(descriptor: str) -> str | None:
@@ -411,11 +518,24 @@ def _caller_of(dex: DexFile, class_type_index: int) -> str:
     return path if path is not None else ""
 
 
+def _count_resolved(dex: DexFile, pairs) -> Counter:
+    """Sum ``(method_idx, n)`` pairs into counts per resolved MethodRef."""
+    cache: dict[int, MethodRef | None] = {}
+    names: dict[int, str] = {}
+    counts: Counter = Counter()
+    for method_idx, n in pairs:
+        ref = _resolve_method(dex, method_idx, cache, names)
+        if ref is not None:
+            counts[ref] += n
+    return counts
+
+
 def extract_invokes(dex: DexFile) -> list[InvokeSite]:
     """Every invoke-type instruction in the file, resolved, in walk order.
 
     Primitive-array receivers are dropped; reference-array receivers are
-    normalized to their element class.
+    normalized to their element class. Always the scalar walk: this is not
+    the throughput path.
     """
     sites: list[InvokeSite] = []
     cache: dict[int, MethodRef | None] = {}
@@ -438,17 +558,22 @@ def count_invoke_targets(dex: DexFile) -> Counter:
     Equivalent to Counter(site.target for site in extract_invokes(dex)) but
     avoids materializing per-site objects; this is the throughput path.
     """
+    blob = dex.blob
+    code_offs = [off for item in dex.class_items for off in item.code_offsets]
+    if len(code_offs) >= BATCH_MIN_ITEMS:
+        try:
+            packed_hits = _walk_batched(blob, code_offs)
+            # method indices are u16: one bincount, no sort
+            sites = np.bincount(packed_hits >> 8)
+            targets = np.flatnonzero(sites)
+            return _count_resolved(dex, zip(targets.tolist(), sites[targets].tolist()))
+        except ApksiftError:
+            # a walk fault, or a target that fails to resolve: the scalar
+            # path below resolves in first-occurrence order, not index order,
+            # and raises the first error in that order
+            pass
     hits: list[int] = []
     append = hits.append
-    blob = dex.blob
-    for item in dex.class_items:
-        for code_off in item.code_offsets:
-            _walk_into(blob, code_off, append)
-    cache: dict[int, MethodRef | None] = {}
-    names: dict[int, str] = {}
-    counts: Counter = Counter()
-    for packed, n in Counter(hits).items():
-        ref = _resolve_method(dex, packed >> 8, cache, names)
-        if ref is not None:
-            counts[ref] += n
-    return counts
+    for code_off in code_offs:
+        _walk_into(blob, code_off, append)
+    return _count_resolved(dex, ((packed >> 8, n) for packed, n in Counter(hits).items()))

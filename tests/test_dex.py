@@ -9,8 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import apksift.dex as dex_module
 from apksift.dalvik import OPCODE_UNITS
 from apksift.dex import (
+    BATCH_MIN_ITEMS,
+    _read_class_data,
+    _resolve_method,
+    _walk_batched,
+    _walk_into,
     count_invoke_targets,
     decode_mutf8,
     extract_invokes,
@@ -18,6 +24,7 @@ from apksift.dex import (
     read_uleb128,
 )
 from apksift.errors import (
+    ApksiftError,
     BadMagic,
     ChecksumMismatch,
     InvalidSequence,
@@ -30,6 +37,7 @@ from apksift.invokes import InvokeKind
 from apksift.synth import (
     DexBuilder,
     MethodDef,
+    _uleb,
     ins_fill_array_payload,
     ins_invoke,
     ins_nop,
@@ -88,6 +96,54 @@ def test_uleb_round_trip(value):
             break
     got, end = read_uleb128(bytes(encoded), 0)
     assert (got, end) == (value, len(encoded))
+
+
+def _code_offsets_reference(blob, off):
+    """A class_data_item with only direct methods, decoded by read_uleb128 alone."""
+    sizes = []
+    for _ in range(4):
+        value, off = read_uleb128(blob, off)
+        sizes.append(value)
+    code_offs = []
+    for _ in range(sizes[2]):
+        _, off = read_uleb128(blob, off)  # method_idx_diff
+        _, off = read_uleb128(blob, off)  # access_flags
+        code_off, off = read_uleb128(blob, off)
+        if code_off:
+            if code_off + 16 > len(blob):
+                raise StructuralError(f"code_off {code_off} out of bounds")
+            code_offs.append(code_off)
+    return tuple(code_offs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.integers(0, 2**7), st.integers(0, 2**16), st.integers(0, 2**32 - 1)),
+        min_size=1,
+        max_size=6,
+    ),
+    st.integers(0, 40),
+)
+def test_class_data_code_offsets_of_every_width(code_offs, cut):
+    # _read_class_data decodes 1-4 byte code offsets inline; a class_data cut
+    # by the end of the blob is a StructuralError whichever byte is missing
+    body = _uleb(0) + _uleb(0) + _uleb(len(code_offs)) + _uleb(0)
+    for code_off in code_offs:
+        body += _uleb(1) + _uleb(0x10001) + _uleb(code_off)
+    start = 2**16
+    blob = bytes(start) + body[: max(0, len(body) - cut)]
+    try:
+        expected = _code_offsets_reference(blob, start)
+    except (TruncatedEncoding, StructuralError) as exc:
+        expected = exc
+    if isinstance(expected, tuple):
+        assert _read_class_data(blob, start, 2**16) == expected
+    else:
+        with pytest.raises(StructuralError) as err:
+            _read_class_data(blob, start, 2**16)
+        if isinstance(expected, StructuralError):  # names the decoded offset
+            assert str(err.value) == str(expected)
 
 
 # -- MUTF-8 --------------------------------------------------------------------
@@ -363,3 +419,202 @@ def test_oracle_suite_hundred_files():
     elapsed = time.perf_counter() - t0
     assert matched == 100
     assert elapsed < 30.0, f"oracle suite took {elapsed:.1f}s"
+
+
+# -- lock-step walk against the scalar walk ----------------------------------------
+#
+# A dex with BATCH_MIN_ITEMS code items or more is walked in numpy lock-step;
+# the scalar walk (_walk_into over every item, then resolve) is the oracle.
+# Every item is a method of its own, so the method table has at least
+# BATCH_MIN_ITEMS entries and raw invoke indices below that always resolve.
+
+_INVOKE_OPS = [op for op in range(0x6E, 0x79) if op != 0x73]
+_UNIT = st.integers(0, 0xFFFF)
+
+
+def _payload(ident, a, b, fill):
+    """Well-formed payload units for ident 1/2/3 with header fields a, b.
+
+    The body repeats ``fill``; an invoke opcode there shows a walk that
+    steps into the payload instead of over it.
+    """
+    if ident == 1:  # packed-switch: a targets
+        return (0x0100, a, 0, 0) + (fill,) * (2 * a)
+    if ident == 2:  # sparse-switch: a keys and a targets
+        return (0x0200, a) + (fill,) * (4 * a)
+    return (0x0300, a + 1, b, 0) + (fill,) * (((a + 1) * b + 1) // 2)  # fill-array-data
+
+
+@st.composite
+def _instruction(draw):
+    # invokes, the 0x73 gap among them and payloads (opcode 0) are 12 of 256
+    # opcodes; draw them often
+    op = draw(st.one_of(st.integers(0, 0xFF), st.sampled_from([0, 0x73, *_INVOKE_OPS])))
+    high = draw(st.integers(0, 0xFF))
+    if op in _INVOKE_OPS:
+        return (op | high << 8, draw(st.integers(0, BATCH_MIN_ITEMS - 1)), draw(_UNIT))
+    if op == 0:
+        ident = draw(st.sampled_from([0, 1, 2, 3, 0x4A]))
+        if ident in (1, 2, 3):
+            a, b = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+            return _payload(ident, a, b, draw(st.one_of(_UNIT, st.sampled_from(_INVOKE_OPS))))
+        return (ident << 8,)
+    return (op | high << 8, *(draw(_UNIT) for _ in range(OPCODE_UNITS[op] - 1)))
+
+
+# Each fault is spliced into one item's stream; all of them make the walk or
+# the resolve fail (a cut stream may also happen to end on an instruction).
+_FAULTS = {
+    "truncated-invoke": (0x1000 | 0x6E,),  # as the item's last unit
+    "truncated-payload": (0x0300, 1),  # fill-array header cut short
+    "payload-overrun": (0x0100, 0xFFFF),  # packed-switch claiming 131,074 units
+    "method-out-of-range": (0x1000 | 0x71, 60000, 0),  # index 60000 + position
+    "cut": (),  # drop the stream's last unit
+}
+
+
+def _dex_of_streams(streams):
+    builder = DexBuilder()
+    for start in range(0, len(streams), 8):
+        methods = [
+            MethodDef(f"m{start + k}", "()V", [tuple(s)] if s else [])
+            for k, s in enumerate(streams[start : start + 8])
+        ]
+        builder.add_class(f"com/fuzz/C{start // 8}", methods)
+    return builder.build()
+
+
+def _scalar_hits(dex):
+    hits = []
+    for item in dex.class_items:
+        for off in item.code_offsets:
+            _walk_into(dex.blob, off, hits.append)
+    return hits
+
+
+def _scalar_counts(dex):
+    cache, names, counts = {}, {}, Counter()
+    for packed, n in Counter(_scalar_hits(dex)).items():
+        ref = _resolve_method(dex, packed >> 8, cache, names)
+        if ref is not None:
+            counts[ref] += n
+    return counts
+
+
+def _outcome(fn, dex):
+    try:
+        return fn(dex)
+    except ApksiftError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_walks_agree(blob):
+    dex = parse_dex(blob)
+    assert _outcome(count_invoke_targets, dex) == _outcome(_scalar_counts, dex)
+    # the lock-step walk on its own, since a spurious fault in it would be
+    # hidden by count_invoke_targets' scalar re-walk
+    code_offs = [off for item in dex.class_items for off in item.code_offsets]
+    try:
+        expected = Counter(_scalar_hits(dex))
+    except StructuralError:
+        with pytest.raises(StructuralError):
+            _walk_batched(dex.blob, code_offs)
+    else:
+        assert Counter(_walk_batched(dex.blob, code_offs).tolist()) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(_instruction(), max_size=12), min_size=1, max_size=8),
+    st.integers(BATCH_MIN_ITEMS, 3 * BATCH_MIN_ITEMS),
+    st.lists(
+        st.tuples(
+            st.integers(0, 3 * BATCH_MIN_ITEMS),  # item
+            st.sampled_from(sorted(_FAULTS)),
+            st.integers(0, 12),  # unit position
+        ),
+        max_size=2,
+    ),
+)
+def test_lockstep_walk_matches_scalar(shapes, n_items, faults):
+    streams = [[u for ins in shapes[k % len(shapes)] for u in ins] for k in range(n_items)]
+    for item, kind, at in faults:
+        stream = streams[item % n_items]
+        if kind == "cut":
+            del stream[-1:]
+        elif kind.startswith("truncated"):
+            stream.extend(_FAULTS[kind])
+        else:
+            units = list(_FAULTS[kind])
+            if kind == "method-out-of-range":
+                units[1] += at  # two such faults name different indices
+            stream[min(at, len(stream)) : min(at, len(stream))] = units
+    _assert_walks_agree(_dex_of_streams(streams))
+
+
+def _invoke_units(method_idx):
+    return [0x1000 | 0x6E, method_idx, 0]
+
+
+def test_lockstep_long_method_among_short_ones():
+    # one 20,000-instruction method keeps a single item live long after the
+    # lock-step walk has handed it to the scalar tail
+    long = [u for k in range(20_000) for u in (_invoke_units(k % 97) if k % 5 == 0 else [0x0001])]
+    short = [[0x0001] * (k % 7) + _invoke_units(k) + [0x000E] for k in range(3 * BATCH_MIN_ITEMS)]
+    blob = _dex_of_streams([long] + short)
+    _assert_walks_agree(blob)
+    counts = count_invoke_targets(parse_dex(blob))
+    assert sum(counts.values()) == 4_000 + 3 * BATCH_MIN_ITEMS
+
+
+def test_dex_below_batch_size_never_takes_the_lockstep_walk(monkeypatch):
+    streams = [_invoke_units(k) + [0x000E] for k in range(BATCH_MIN_ITEMS - 1)]
+    dex = parse_dex(_dex_of_streams(streams))
+    expected = _scalar_counts(dex)
+
+    def forbidden(*args):
+        raise AssertionError("lock-step walk used below BATCH_MIN_ITEMS")
+
+    monkeypatch.setattr(dex_module, "_walk_batched", forbidden)
+    assert count_invoke_targets(dex) == expected
+    assert sum(expected.values()) == BATCH_MIN_ITEMS - 1
+
+
+@pytest.mark.parametrize("kind", sorted(_FAULTS))
+def test_fault_in_a_short_item_meets_the_lockstep_walk(kind):
+    # the faulty item ends while every other item is still live, so the
+    # lock-step walk, not the scalar tail, is the one that meets the fault
+    streams = [[0x0001] * 30 for _ in range(2 * BATCH_MIN_ITEMS)]
+    streams[5] = [0x0001] * 3 + list(_FAULTS[kind]) + [0x000E] * (kind == "method-out-of-range")
+    if kind == "cut":
+        streams[5] = [0x0001, 0x0013]  # const/16 without its literal
+    blob = _dex_of_streams(streams)
+    _assert_walks_agree(blob)
+    with pytest.raises(StructuralError):
+        count_invoke_targets(parse_dex(blob))
+
+
+def test_first_fault_in_walk_order_wins():
+    # item 3 overruns only at its 40th instruction; item 200 has a truncated
+    # invoke at its first. The lock-step walk meets item 200's fault first,
+    # but the error must name item 3, as the scalar walk does.
+    streams = [[0x0001] * 50 for _ in range(2 * BATCH_MIN_ITEMS)]
+    streams[3] = [0x0001] * 40 + [0x0013]  # const/16 cut after its first unit
+    streams[200] = [0x1000 | 0x6E]
+    blob = _dex_of_streams(streams)
+    dex = parse_dex(blob)
+    code_off = dex.class_items[0].code_offsets[3]
+    with pytest.raises(StructuralError) as err:
+        count_invoke_targets(dex)
+    assert str(err.value) == f"instruction stream at {code_off} overruns insns_size by 1 units"
+    _assert_walks_agree(blob)
+
+
+def test_first_bad_target_in_walk_order_wins():
+    # index order would name 50000 first; walk order meets 60000 first
+    streams = [[0x000E] for _ in range(2 * BATCH_MIN_ITEMS)]
+    streams[10] = _invoke_units(60000) + [0x000E]
+    streams[20] = _invoke_units(50000) + [0x000E]
+    dex = parse_dex(_dex_of_streams(streams))
+    with pytest.raises(StructuralError, match="^invoke method index 60000 out of range$"):
+        count_invoke_targets(dex)
