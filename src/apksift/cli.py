@@ -4,7 +4,8 @@ feature ranking and model inspection.
 Exit codes separate classification outcomes from operational failures so
 shell pipelines can triage: 0 trusted, 10 generic malware, 11 ransomware;
 2 usage/configuration error, 3 parse failure, 4 reference-fingerprint
-mismatch. Machine-readable results go to stdout, diagnostics to stderr.
+mismatch, by error class as the ``errors`` module docstring states.
+Machine-readable results go to stdout, diagnostics to stderr.
 
 The ``APKSIFT_REFERENCE_DIR`` environment variable supplies a default
 directory of reference lists (packages.txt / classes.txt / methods.txt)
@@ -21,20 +22,7 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__
-from .errors import (
-    ApksiftError,
-    ConfigError,
-    EmptyBin,
-    FingerprintMismatch,
-    GranularityMismatch,
-    InvalidHyperparams,
-    InvalidProjection,
-    MalformedKey,
-    MissingClass,
-    SingleClassData,
-    TooFewSamples,
-    UsageError,
-)
+from .errors import ApksiftError, FingerprintMismatch, SingleClassData, UsageError
 from .evaluation import (
     TemporalSplitSpec,
     emit_report,
@@ -74,19 +62,6 @@ EXIT_PARSE = 3
 EXIT_FINGERPRINT = 4
 
 REFERENCE_ENV = "APKSIFT_REFERENCE_DIR"
-
-_USAGE_ERRORS = (
-    UsageError,
-    ConfigError,
-    SingleClassData,
-    TooFewSamples,
-    InvalidHyperparams,
-    InvalidProjection,
-    GranularityMismatch,
-    MalformedKey,
-    MissingClass,
-    EmptyBin,
-)
 
 
 def _resolve_reference(args):
@@ -397,7 +372,7 @@ def main(argv=None) -> int:
     except FingerprintMismatch as exc:
         print(f"error: fingerprint mismatch: {exc}", file=sys.stderr)
         return EXIT_FINGERPRINT
-    except _USAGE_ERRORS as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ApksiftError as exc:

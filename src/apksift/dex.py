@@ -46,7 +46,7 @@ from .errors import (
     TruncatedEncoding,
     UnsupportedVersion,
 )
-from .invokes import KIND_BY_OPCODE, InvokeSite, MethodRef
+from .invokes import KIND_BY_OPCODE, InvokeSite, MethodRef, class_path_of
 
 HEADER_SIZE = 112
 ENDIAN_TAG = 0x12345678
@@ -62,8 +62,7 @@ BATCH_MIN_ITEMS = 256
 
 _STEP_BYTES = np.frombuffer(OPCODE_BYTES, np.uint8).astype(np.int64)
 _IS_INVOKE = np.zeros(256, bool)
-_IS_INVOKE[0x6E:0x79] = True
-_IS_INVOKE[0x73] = False  # the unused gap opcode inside the invoke family
+_IS_INVOKE[list(KIND_BY_OPCODE)] = True
 
 
 def read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
@@ -463,14 +462,6 @@ def _walk_batched(blob: bytes, code_offs: list[int]) -> np.ndarray:
     return np.concatenate(hit_parts)
 
 
-def _normalize_class_descriptor(descriptor: str) -> str | None:
-    """Strip array markers and L...; framing; None for primitive receivers."""
-    d = descriptor.lstrip("[")
-    if d.startswith("L") and d.endswith(";"):
-        return d[1:-1]
-    return None
-
-
 def _method_descriptor(dex: DexFile, proto_idx: int) -> str:
     ret_idx, params_off = dex.proto_table[proto_idx]
     params = ""
@@ -501,21 +492,16 @@ def _resolve_method(dex: DexFile, method_idx: int, cache: dict, names: dict) -> 
     if method_idx >= len(dex.method_table):
         raise StructuralError(f"invoke method index {method_idx} out of range")
     class_idx, name_idx, proto_idx = dex.method_table[method_idx]
-    class_path = _normalize_class_descriptor(dex.type_names[class_idx])
+    class_path = class_path_of(dex.type_names[class_idx])
     if class_path is None:
         ref = None
     else:
         name = names.get(name_idx)
         if name is None:
             name = names[name_idx] = _string(dex.blob, dex.string_offsets[name_idx])
-        ref = MethodRef.from_class_path(class_path, name, _method_descriptor(dex, proto_idx))
+        ref = MethodRef(class_path, name, _method_descriptor(dex, proto_idx))
     cache[method_idx] = ref
     return ref
-
-
-def _caller_of(dex: DexFile, class_type_index: int) -> str:
-    path = _normalize_class_descriptor(dex.type_names[class_type_index])
-    return path if path is not None else ""
 
 
 def _count_resolved(dex: DexFile, pairs) -> Counter:
@@ -541,7 +527,7 @@ def extract_invokes(dex: DexFile) -> list[InvokeSite]:
     cache: dict[int, MethodRef | None] = {}
     names: dict[int, str] = {}
     for item in dex.class_items:
-        caller = _caller_of(dex, item.class_type_index)
+        caller = class_path_of(dex.type_names[item.class_type_index]) or ""
         for code_off in item.code_offsets:
             hits: list[int] = []
             _walk_into(dex.blob, code_off, hits.append)

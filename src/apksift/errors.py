@@ -1,8 +1,16 @@
-"""Exception taxonomy shared across the toolkit."""
+"""Exception taxonomy shared across the toolkit.
+
+An error's base class decides its CLI exit code: ``UsageError`` 2,
+``FingerprintMismatch`` 4, any other ``ApksiftError`` (or an ``OSError``) 3.
+"""
 
 
 class ApksiftError(Exception):
     """Base class for all toolkit errors."""
+
+
+class UsageError(ApksiftError):
+    """Bad command-line request, configuration or protocol input (exit 2)."""
 
 
 # -- archive ingestion ------------------------------------------------------
@@ -55,11 +63,11 @@ class StructuralError(ApksiftError):
 
 # -- reference lists --------------------------------------------------------
 
-class GranularityMismatch(ApksiftError):
+class GranularityMismatch(UsageError):
     """Reference file declares a different granularity than expected."""
 
 
-class MalformedKey(ApksiftError):
+class MalformedKey(UsageError):
     """Reference list entry does not match the canonical key syntax."""
 
     def __init__(self, line_no: int, message: str = ""):
@@ -67,7 +75,7 @@ class MalformedKey(ApksiftError):
         super().__init__(f"line {line_no}: {message}" if message else f"line {line_no}")
 
 
-class InvalidProjection(ApksiftError):
+class InvalidProjection(UsageError):
     """Requested projection target is not coarser than the source list."""
 
 
@@ -81,15 +89,15 @@ class NoUsefulSplit(ApksiftError):
     """No candidate feature/threshold has positive information gain."""
 
 
-class SingleClassData(ApksiftError):
+class SingleClassData(UsageError):
     """Training data contains fewer than two classes."""
 
 
-class InvalidHyperparams(ApksiftError):
+class InvalidHyperparams(UsageError):
     """Hyperparameter values outside their legal ranges."""
 
 
-class TooFewSamples(ApksiftError):
+class TooFewSamples(UsageError):
     """Not enough samples for the requested protocol."""
 
 
@@ -107,17 +115,13 @@ class VersionMismatch(ApksiftError):
 
 # -- evaluation harness -----------------------------------------------------
 
-class MissingClass(ApksiftError):
+class MissingClass(UsageError):
     """Test population lacks a class required by the protocol."""
 
 
-class EmptyBin(ApksiftError):
+class EmptyBin(UsageError):
     """A protocol step received zero samples."""
 
 
-class ConfigError(ApksiftError):
+class ConfigError(UsageError):
     """Protocol configuration is inconsistent (e.g. train/test id overlap)."""
-
-
-class UsageError(ApksiftError):
-    """Bad command-line or report-format request."""

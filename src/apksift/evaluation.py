@@ -218,6 +218,9 @@ def split_dataset(
         raise ConfigError(f"split fraction {fraction} is not strictly between 0 and 1")
     labels = [s.label for s in data]
     train_idx, test_idx = stratified_split_indices(labels, fraction, rng)
+    empty = [side for side, idx in (("train", train_idx), ("test", test_idx)) if not idx]
+    if empty:
+        raise TooFewSamples(f"split fraction {fraction} leaves the {empty[0]} side empty")
     train, test = data.subset(train_idx), data.subset(test_idx)
     if train.ids() & test.ids():
         raise ConfigError("train/test id overlap after split")

@@ -590,7 +590,7 @@ def loads_model(text: str) -> RandomForestModel:
         raise CorruptModel(f"missing or malformed field: {exc}") from exc
     if class_order != CLASS_ORDER:
         raise CorruptModel(f"unexpected class order {doc['class_order']}")
-    if not isinstance(feature_dim, int) or feature_dim < 1:
+    if type(feature_dim) is not int or feature_dim < 1:
         raise CorruptModel(f"feature_dim {feature_dim!r}")
     if not isinstance(fingerprint, str) or not fingerprint:
         raise CorruptModel("missing reference fingerprint")

@@ -10,6 +10,8 @@ with ``kind`` one of the five invoke mnemonics (optionally suffixed
 caller) and the target in smali convention
 ``L<class>;-><name>(<params>)<ret>``. ``#`` comments and blank lines are
 ignored.
+
+How a target is named has one owner: ``class_path_of`` and ``MethodRef.package``.
 """
 
 from __future__ import annotations
@@ -52,25 +54,27 @@ KIND_BY_OPCODE = {
 OPCODE_BY_KIND = {k: op for op, k in KIND_BY_OPCODE.items()}
 
 
+def class_path_of(descriptor: str) -> str | None:
+    """Class path of a type descriptor: array markers and the ``L...;``
+    framing stripped; None for a primitive or primitive-array type."""
+    d = descriptor.lstrip("[")
+    if d.startswith("L") and d.endswith(";"):
+        return d[1:-1]
+    return None
+
+
 @dataclass(frozen=True, slots=True)
 class MethodRef:
-    """A fully resolved invocation target.
+    """A resolved call target; ``class_path`` has no ``L``, ``;`` or array markers."""
 
-    ``package`` is always ``class_path`` minus its final segment (empty when
-    the class lives in the default package); ``class_path`` carries no ``L``
-    prefix, ``;`` suffix or array markers.
-    """
-
-    package: str
     class_path: str
     name: str
     descriptor: str
 
-    @classmethod
-    def from_class_path(cls, class_path: str, name: str, descriptor: str) -> "MethodRef":
-        slash = class_path.rfind("/")
-        package = class_path[:slash] if slash >= 0 else ""
-        return cls(package, class_path, name, descriptor)
+    @property
+    def package(self) -> str:
+        """``class_path`` minus its final segment; empty for the default package."""
+        return self.class_path.rpartition("/")[0]
 
     def signature(self) -> str:
         return f"L{self.class_path};->{self.name}{self.descriptor}"
@@ -101,7 +105,7 @@ def parse_target_signature(sig: str) -> MethodRef:
     descriptor = rest[paren:]
     if not class_path or not name:
         raise ValueError(f"empty class or method name: {sig!r}")
-    return MethodRef.from_class_path(class_path, name, descriptor)
+    return MethodRef(class_path, name, descriptor)
 
 
 def _parse_caller(field: str) -> str:

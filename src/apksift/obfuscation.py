@@ -94,7 +94,7 @@ def default_transform(kind: ObfuscationKind, seed: int = 0) -> ObfuscationTransf
 
 
 _DECRYPT_CALLER = "com/obf/StringVault"
-_DECRYPT_TARGET = MethodRef.from_class_path(
+_DECRYPT_TARGET = MethodRef(
     "com/obf/StringVault", "decrypt", "(Ljava/lang/String;)Ljava/lang/String;"
 )
 

@@ -14,6 +14,8 @@ overloads collapse onto one feature.
 File format: UTF-8 text, one key per line, ``#`` comments and blanks
 ignored, with header comments ``# granularity: package|class|method`` and
 optionally ``# api-level: <int>``.
+
+The key grammar has one owner: ``key_of`` builds keys, ``target_of_key`` parses them.
 """
 
 from __future__ import annotations
@@ -190,13 +192,10 @@ def key_of(target: MethodRef, g: Granularity) -> str | None:
     return f"{target.class_path};->{target.name}"
 
 
-def _coarsen(key: str, src: Granularity, dst: Granularity) -> str:
-    if src is Granularity.Method:
-        key = key.split(";->", 1)[0]  # now a class key
-        if dst is Granularity.Class:
-            return key
-    # class -> package
-    return key.rsplit("/", 1)[0]
+def target_of_key(key: str) -> MethodRef:
+    """Inverse of ``key_of`` for a class or method key; no key has a descriptor."""
+    class_path, _, name = key.partition(";->")
+    return MethodRef(class_path, name, "")
 
 
 def project(ref: ApiReferenceList, to: Granularity) -> ApiReferenceList:
@@ -205,5 +204,5 @@ def project(ref: ApiReferenceList, to: Granularity) -> ApiReferenceList:
         raise InvalidProjection(
             f"{ref.granularity.value} -> {to.value} is not a coarsening"
         )
-    keys = {_coarsen(k, ref.granularity, to) for k in ref.entries}
+    keys = {key_of(target_of_key(k), to) for k in ref.entries}
     return make_reference(to, sorted(keys), api_level=ref.api_level)

@@ -21,7 +21,7 @@ import csv
 import random
 import struct
 import zipfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 from hashlib import sha1
 from pathlib import Path
@@ -38,9 +38,10 @@ from .invokes import (
     InvokeKind,
     InvokeSite,
     MethodRef,
+    class_path_of,
     dump_invoke_list_text,
 )
-from .reference import ApiReferenceList, Granularity, make_reference, project
+from .reference import ApiReferenceList, Granularity, make_reference, project, target_of_key
 
 # ---------------------------------------------------------------------------
 # descriptor helpers
@@ -72,13 +73,6 @@ def _shorty(params: list[str], ret: str) -> str:
         return "L" if d[0] in "[L" else d
 
     return ch(ret) + "".join(ch(p) for p in params)
-
-
-def _normalize_receiver(descriptor: str) -> str | None:
-    d = descriptor.lstrip("[")
-    if d.startswith("L") and d.endswith(";"):
-        return d[1:-1]
-    return None
 
 
 def _uleb(value: int) -> bytes:
@@ -230,14 +224,11 @@ class DexBuilder:
             for item in m.body or ():
                 if item and item[0] == "invoke":
                     _, op, desc, name, mdesc = item
-                    receiver = _normalize_receiver(desc)
+                    receiver = class_path_of(desc)
                     if receiver is not None:
+                        target = MethodRef(receiver, name, mdesc)
                         self.expected_invokes.append(
-                            InvokeSite(
-                                KIND_BY_OPCODE[op],
-                                class_path,
-                                MethodRef.from_class_path(receiver, name, mdesc),
-                            )
+                            InvokeSite(KIND_BY_OPCODE[op], class_path, target)
                         )
 
     def add_filler_strings(self, strings: Iterable[str]) -> None:
@@ -753,8 +744,7 @@ def invokes_from_counts(
     sites: list[InvokeSite] = []
     kinds = (InvokeKind.Virtual, InvokeKind.Virtual, InvokeKind.Static, InvokeKind.Direct)
     for key in sorted(counts):
-        class_path, name = key.split(";->")
-        ref = MethodRef.from_class_path(class_path, name, "()V")
+        ref = replace(target_of_key(key), descriptor="()V")
         for _ in range(counts[key]):
             sites.append(InvokeSite(kinds[int(rng.integers(len(kinds)))], caller, ref))
     perm = rng.permutation(len(sites))
@@ -798,12 +788,10 @@ def redistribute_within_packages(
     """
     by_package: dict[str, list[str]] = {}
     for key in sorted(set(receivers)):
-        package = key.split(";->")[0].rsplit("/", 1)[0]
-        by_package.setdefault(package, []).append(key)
+        by_package.setdefault(target_of_key(key).package, []).append(key)
     out = dict(counts)
     for key in sorted(counts):
-        package = key.split(";->")[0].rsplit("/", 1)[0]
-        siblings = [k for k in by_package.get(package, []) if k != key]
+        siblings = [k for k in by_package.get(target_of_key(key).package, []) if k != key]
         if not siblings:
             continue
         moved = int(rng.binomial(counts[key], rho))

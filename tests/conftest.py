@@ -132,7 +132,7 @@ _METHOD_NAME = st.sampled_from(
 
 @st.composite
 def method_refs(draw):
-    return MethodRef.from_class_path(
+    return MethodRef(
         draw(class_paths()), draw(_METHOD_NAME), draw(_DESCRIPTORS)
     )
 

@@ -117,6 +117,24 @@ def test_scan_corrupt_apk_exit_3(workspace, tmp_path, capsys):
     assert "NotAZipArchive" in err
 
 
+def test_scan_structural_error_exit_3(workspace, tmp_path, capsys):
+    from conftest import build_single_method_dex
+
+    blob, _ = build_single_method_dex(locker_body())
+    patched = bytearray(blob)
+    patched[36] = 116  # header_size
+    bad = tmp_path / "bad.apk"
+    write_apk(bad, [bytes(patched)])
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(
+        ["scan", str(bad), "--model", str(workspace["model"]), "--reference", str(ref_path)]
+    )
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "error: StructuralError: header_size 116\n"
+
+
 def test_scan_missing_file_exit_3(workspace, tmp_path, capsys):
     missing = tmp_path / "missing.apk"
     _, ref_path = workspace["refs"][Granularity.Package]
@@ -428,10 +446,12 @@ def test_extract_skips_non_utf8_fixture(workspace, tmp_path, capsys):
         (("hyperparams", "max_depth"), 5),
         (("hyperparams", "min_samples_leaf"), 2),
         (("hyperparams", "features_per_split"), 3),
+        (("feature_dim",), True),
     ],
     ids=["trees-int", "tree-int", "leaf-string", "leaf-nan", "threshold-nan", "n_trees-string",
          "min_samples_leaf-0", "seed-negative", "n_trees-0", "max_depth-negative",
-         "features_per_split-0", "max_depth-5", "min_samples_leaf-2", "features_per_split-3"],
+         "features_per_split-0", "max_depth-5", "min_samples_leaf-2", "features_per_split-3",
+         "feature_dim-true"],
 )
 def test_model_info_corrupt_model_exit_3(tmp_path, capsys, keys, value):
     doc = chain_model_doc(2, "left")
@@ -529,6 +549,32 @@ def test_protocol_argument_out_of_range_exit_2(workspace, tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, extra, side",
+    [
+        ("rank", ["--fraction", "0.4"], "train"),
+        ("rank", ["--fraction", "0.9"], "test"),
+        ("eval-temporal", ["--train-cutoff", "2016-12-31", "--bin", "a:2017-01-01:2017-02-01",
+                           "--n-trees", "3"], "test"),
+    ],
+    ids=["rank-fraction=0.4", "rank-fraction=0.9", "eval-temporal"],
+)
+def test_split_with_an_empty_side_exit_2(workspace, tmp_path, capsys, command, extra, side):
+    corpus = Path(workspace["manifest"]).parent
+    rows = [f"{corpus / f'{p}0000.txt'},{label},2016-01-02,x"
+            for p, label in (("t", "trusted"), ("m", "malware"), ("r", "ransomware"))]
+    _, ref_path = workspace["refs"][Granularity.Package]
+    argv = [command, "--manifest", str(_manifest(tmp_path, rows)), "--reference", str(ref_path)]
+    if command == "eval-temporal":
+        argv += ["--out", str(tmp_path)]
+    rc = main(argv + extra)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: split fraction ") and err.count("\n") == 1
+    assert f"leaves the {side} side empty" in err
     assert "Traceback" not in err
 
 

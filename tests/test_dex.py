@@ -5,6 +5,7 @@ import struct
 import time
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -33,7 +34,7 @@ from apksift.errors import (
     TruncatedEncoding,
     UnsupportedVersion,
 )
-from apksift.invokes import InvokeKind
+from apksift.invokes import KIND_BY_OPCODE, InvokeKind
 from apksift.synth import (
     DexBuilder,
     MethodDef,
@@ -275,6 +276,70 @@ def test_endianness_rejected():
     struct.pack_into("<I", blob, 40, 0x78563412)
     with pytest.raises(StructuralError):
         parse_dex(bytes(blob))
+
+
+def _u32(blob, off):
+    return struct.unpack_from("<I", blob, off)[0]
+
+
+def _table_case(what, size_at):
+    """Point a table's header offset at the end of the blob."""
+    return lambda b: (
+        "<I", size_at + 4, len(b),
+        f"{what} table out of bounds (off={len(b)}, count={_u32(b, size_at)})",
+    )
+
+
+# Each case names one field of the blob, at the offset its header (or a
+# record the header locates) declares: (struct format, offset, new value,
+# the exact message parse_dex raises).
+_STRUCTURAL_CASES = {
+    "string_ids-table": _table_case("string_ids", 56),
+    "type_ids-table": _table_case("type_ids", 64),
+    "proto_ids-table": _table_case("proto_ids", 72),
+    "method_ids-table": _table_case("method_ids", 88),
+    "class_defs-table": _table_case("class_defs", 96),
+    "string_data_off": lambda b: (
+        "<I", _u32(b, 60), len(b), f"string_data_off {len(b)} out of bounds"
+    ),
+    "type_id-string-index": lambda b: (
+        "<I", _u32(b, 68), _u32(b, 56), f"type_id string index {_u32(b, 56)} out of range"
+    ),
+    "proto-return-type": lambda b: (
+        "<I", _u32(b, 76) + 4, _u32(b, 64), f"proto return type {_u32(b, 64)} out of range"
+    ),
+    "method_id": lambda b: (
+        "<I", _u32(b, 92) + 4, _u32(b, 56),
+        "method_id ({},{},{}) out of range".format(
+            *struct.unpack_from("<HH", b, _u32(b, 92)), _u32(b, 56)
+        ),
+    ),
+    "class_def-type-index": lambda b: (
+        "<I", _u32(b, 100), _u32(b, 64), f"class_def type index {_u32(b, 64)} out of range"
+    ),
+    "class_data_off": lambda b: (
+        "<I", _u32(b, 100) + 24, len(b), f"class_data_off {len(b)} out of bounds"
+    ),
+    # no fields, four one-byte sizes, then the first method_idx_diff
+    "encoded_method-index": lambda b: (
+        "<B", _u32(b, _u32(b, 100) + 24) + 4, 0x7F, "encoded_method index 127 out of range"
+    ),
+    "file_size": lambda b: (
+        "<I", 32, len(b) + 1, f"file_size {len(b) + 1} exceeds blob ({len(b)})"
+    ),
+    "header_size": lambda b: ("<I", 36, 116, "header_size 116"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STRUCTURAL_CASES))
+def test_structural_error_messages(locker_dex, case):
+    blob, _ = locker_dex
+    fmt, off, value, message = _STRUCTURAL_CASES[case](blob)
+    patched = bytearray(blob)
+    struct.pack_into(fmt, patched, off, value)
+    with pytest.raises(StructuralError) as info:
+        parse_dex(bytes(patched))
+    assert str(info.value) == message
 
 
 # -- invoke extraction -----------------------------------------------------------
@@ -550,6 +615,28 @@ def test_lockstep_walk_matches_scalar(shapes, n_items, faults):
                 units[1] += at  # two such faults name different indices
             stream[min(at, len(stream)) : min(at, len(stream))] = units
     _assert_walks_agree(_dex_of_streams(streams))
+
+
+def test_one_invoke_opcode_set(monkeypatch):
+    # one one-instruction item per opcode byte, operands zero: invokes name
+    # method 0 and opcode 0 is a nop with ident 0
+    streams = [[op] + [0] * (OPCODE_UNITS[op] - 1) for op in range(256)]
+    assert len(streams) >= BATCH_MIN_ITEMS
+    dex = parse_dex(_dex_of_streams(streams))
+    lockstep_hits = []
+
+    def spy(blob, code_offs):
+        hits = _walk_batched(blob, code_offs)
+        lockstep_hits.extend(hits.tolist())
+        return hits
+
+    monkeypatch.setattr(dex_module, "_walk_batched", spy)
+    counts = count_invoke_targets(dex)
+    assert sorted(packed & 0xFF for packed in lockstep_hits) == sorted(KIND_BY_OPCODE)
+    assert sorted(packed >> 8 for packed in lockstep_hits) == [0] * len(KIND_BY_OPCODE)
+    assert sum(counts.values()) == len(KIND_BY_OPCODE)
+    assert sorted(packed & 0xFF for packed in _scalar_hits(dex)) == sorted(KIND_BY_OPCODE)
+    assert set(np.flatnonzero(dex_module._IS_INVOKE).tolist()) == set(KIND_BY_OPCODE)
 
 
 def _invoke_units(method_idx):

@@ -154,9 +154,9 @@ def test_granularity_consistency(sites):
 
 
 def test_count_saturation(package_subset):
-    read = MethodRef.from_class_path("java/io/FileInputStream", "read", "([B)I")
-    close = MethodRef.from_class_path("java/io/FileInputStream", "close", "()V")
-    flush = MethodRef.from_class_path("javax/crypto/CipherOutputStream", "flush", "()V")
+    read = MethodRef("java/io/FileInputStream", "read", "([B)I")
+    close = MethodRef("java/io/FileInputStream", "close", "()V")
+    flush = MethodRef("javax/crypto/CipherOutputStream", "flush", "()V")
     counter = Counter({read: COUNT_CEILING, close: 500, flush: 3})
     fv = _vector_from_counter(counter, package_subset)
     assert by_key(fv, package_subset)["java/io"] == COUNT_CEILING

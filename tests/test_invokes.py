@@ -21,7 +21,8 @@ def test_parse_virtual_line():
     site = parse_invoke_line("invoke-virtual Lcom/a/B; Ljava/io/FileInputStream;->read([B)I")
     assert site.kind is InvokeKind.Virtual
     assert site.caller_class == "com/a/B"
-    assert site.target == MethodRef("java/io", "java/io/FileInputStream", "read", "([B)I")
+    assert site.target == MethodRef("java/io/FileInputStream", "read", "([B)I")
+    assert site.target.package == "java/io"
 
 
 def test_parse_range_suffix():
@@ -68,7 +69,7 @@ def test_malformed_lines(line):
 
 def test_empty_caller_round_trips():
     site = InvokeSite(
-        InvokeKind.Direct, "", MethodRef.from_class_path("java/io/File", "delete", "()Z")
+        InvokeKind.Direct, "", MethodRef("java/io/File", "delete", "()Z")
     )
     text = dumps_invoke_list([site])
     assert text == "invoke-direct L; Ljava/io/File;->delete()Z\n"
@@ -93,7 +94,7 @@ def test_file_round_trip(tmp_path):
         InvokeSite(
             InvokeKind.Interface,
             "app/Main",
-            MethodRef.from_class_path("java/util/List", "size", "()I"),
+            MethodRef("java/util/List", "size", "()I"),
         )
     ]
     path = tmp_path / "fixture.txt"

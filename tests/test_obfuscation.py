@@ -22,7 +22,7 @@ from conftest import invoke_lists
 
 
 def sample_invokes(caller="com/app/Main"):
-    mk = MethodRef.from_class_path
+    mk = MethodRef
     return [
         InvokeSite(InvokeKind.Virtual, caller, mk("java/io/FileInputStream", "read", "([B)I")),
         InvokeSite(InvokeKind.Virtual, caller, mk("javax/crypto/Cipher", "doFinal", "([B)[B")),
@@ -115,7 +115,7 @@ def test_class_encryption_is_constant_map():
 
 def test_class_encryption_keeps_platform_callers():
     t = default_transform(ObfuscationKind.ClassEncryption, seed=4)
-    mk = MethodRef.from_class_path
+    mk = MethodRef
     platform_call = InvokeSite(
         InvokeKind.Virtual, "android/app/Activity", mk("java/io/File", "delete", "()Z")
     )
@@ -133,7 +133,7 @@ def test_transforms_do_not_mutate_input():
 
 
 def test_custom_stub_profile():
-    mk = MethodRef.from_class_path
+    mk = MethodRef
     stub = (
         InvokeSite(InvokeKind.Static, "com/obf/X", mk("javax/crypto/Mac", "doFinal", "([B)[B")),
     )

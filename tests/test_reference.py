@@ -122,7 +122,7 @@ def test_save_round_trip(tmp_path):
 # -- key_of -----------------------------------------------------------------
 
 
-READ = MethodRef.from_class_path("java/io/FileInputStream", "read", "([B)I")
+READ = MethodRef("java/io/FileInputStream", "read", "([B)I")
 
 
 def test_key_of_method_excludes_descriptor():
@@ -135,7 +135,7 @@ def test_key_of_class_and_package():
 
 
 def test_key_of_default_package_misses_lookup():
-    ref = MethodRef.from_class_path("Foo", "bar", "()V")
+    ref = MethodRef("Foo", "bar", "()V")
     key = key_of(ref, Granularity.Package)
     assert key == ""
     packages = make_reference(Granularity.Package, ["java/io"])
@@ -143,7 +143,8 @@ def test_key_of_default_package_misses_lookup():
 
 
 def test_key_of_empty_class_path_is_none():
-    ref = MethodRef("", "", "bar", "()V")
+    ref = MethodRef("", "bar", "()V")
+    assert ref.package == ""
     assert key_of(ref, Granularity.Method) is None
 
 
