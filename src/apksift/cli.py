@@ -368,6 +368,8 @@ def main(argv=None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed {args.seed} < 0")
         return _COMMANDS[args.command](args)
     except FingerprintMismatch as exc:
         print(f"error: fingerprint mismatch: {exc}", file=sys.stderr)

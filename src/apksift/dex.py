@@ -90,9 +90,12 @@ def read_uleb128(data: bytes, offset: int) -> tuple[int, int]:
 def decode_mutf8(data: bytes, start: int = 0) -> str:
     """Decode the NUL-terminated modified-UTF-8 run that begins at ``start``.
 
-    The two-byte form 0xC0 0x80 decodes to U+0000; there are no four-byte
-    sequences (supplementary characters arrive as surrogate pairs, which are
-    combined when well-formed).
+    MUTF-8 is standard UTF-8 with two exceptions: U+0000 is written as the
+    two-byte form C0 80, and a supplementary character is a surrogate pair
+    of three-byte forms (there are no four-byte forms). Well-formed pairs
+    are joined; lone surrogates are kept. Any other overlong form raises
+    InvalidSequence. See "MUTF-8 (Modified UTF-8) Encoding" in
+    https://source.android.com/docs/core/runtime/dex-format#mutf-8
     """
     # ASCII fast path: MUTF-8 strings contain no NUL byte except the
     # terminator, so the first 0x00 delimits the run.
@@ -103,41 +106,14 @@ def decode_mutf8(data: bytes, start: int = 0) -> str:
     chunk = data[start:end]
     if chunk.isascii():
         return chunk.decode("ascii")
-    units: list[int] = []
-    i = 0
-    n = len(chunk)
-    while i < n:
-        b0 = chunk[i]
-        if b0 < 0x80:
-            units.append(b0)
-            i += 1
-        elif b0 & 0xE0 == 0xC0:
-            if i + 1 >= n or chunk[i + 1] & 0xC0 != 0x80:
-                raise InvalidSequence(f"bad 2-byte sequence at {i}")
-            units.append(((b0 & 0x1F) << 6) | (chunk[i + 1] & 0x3F))
-            i += 2
-        elif b0 & 0xF0 == 0xE0:
-            if i + 2 >= n or chunk[i + 1] & 0xC0 != 0x80 or chunk[i + 2] & 0xC0 != 0x80:
-                raise InvalidSequence(f"bad 3-byte sequence at {i}")
-            units.append(
-                ((b0 & 0x0F) << 12) | ((chunk[i + 1] & 0x3F) << 6) | (chunk[i + 2] & 0x3F)
-            )
-            i += 3
-        else:
-            raise InvalidSequence(f"invalid lead byte 0x{b0:02x} at {i}")
-    # Combine well-formed surrogate pairs; tolerate lone surrogates.
-    out: list[str] = []
-    j = 0
-    m = len(units)
-    while j < m:
-        u = units[j]
-        if 0xD800 <= u <= 0xDBFF and j + 1 < m and 0xDC00 <= units[j + 1] <= 0xDFFF:
-            out.append(chr(0x10000 + ((u - 0xD800) << 10) + (units[j + 1] - 0xDC00)))
-            j += 2
-        else:
-            out.append(chr(u))
-            j += 1
-    return "".join(out)
+    top = max(chunk)
+    if top >= 0xF0:
+        raise InvalidSequence(f"byte 0x{top:02x}: MUTF-8 has no 4-byte forms")
+    try:
+        text = chunk.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        raise InvalidSequence(f"byte 0x{exc.object[exc.start]:02x}: {exc.reason}") from None
+    return text.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
 
 def _string(blob: bytes, off: int) -> str:

@@ -166,7 +166,12 @@ class Tree:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _node(raw, i: int, feature_dim: int) -> tuple:
@@ -570,7 +575,7 @@ def save_model(model: RandomForestModel, path) -> None:
 def loads_model(text: str) -> RandomForestModel:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: JSONDecodeError, int digit limit
         raise CorruptModel(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise CorruptModel("unrecognized model document")

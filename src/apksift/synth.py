@@ -350,9 +350,7 @@ class DexBuilder:
         string_data_offs = []
         for s in string_list:
             string_data_offs.append(data_off + len(data))
-            utf16_len = (
-                len(s) if s.isascii() else sum(2 if ord(c) > 0xFFFF else 1 for c in s)
-            )
+            utf16_len = len(s.encode("utf-16-le", "surrogatepass")) // 2
             data += _uleb(utf16_len) + _encode_mutf8(s) + b"\x00"
 
         total = data_off + len(data)
@@ -427,25 +425,12 @@ class DexBuilder:
 
 
 def _encode_mutf8(s: str) -> bytes:
-    out = bytearray()
-    for ch in s:
-        cp = ord(ch)
-        if 1 <= cp <= 0x7F:
-            out.append(cp)
-        elif cp == 0 or cp <= 0x7FF:
-            out.append(0xC0 | (cp >> 6))
-            out.append(0x80 | (cp & 0x3F))
-        elif cp <= 0xFFFF:
-            out.append(0xE0 | (cp >> 12))
-            out.append(0x80 | ((cp >> 6) & 0x3F))
-            out.append(0x80 | (cp & 0x3F))
-        else:
-            cp -= 0x10000
-            for half in (0xD800 + (cp >> 10), 0xDC00 + (cp & 0x3FF)):
-                out.append(0xE0 | (half >> 12))
-                out.append(0x80 | ((half >> 6) & 0x3F))
-                out.append(0x80 | (half & 0x3F))
-    return bytes(out)
+    """The inverse of ``dex.decode_mutf8`` (without the terminator): each
+    UTF-16 code unit as its own UTF-8 form, and U+0000 as C0 80."""
+    raw = s.encode("utf-16-le", "surrogatepass")
+    units = struct.unpack(f"<{len(raw) // 2}H", raw)
+    text = "".join(map(chr, units))
+    return text.encode("utf-8", "surrogatepass").replace(b"\x00", b"\xc0\x80")
 
 
 def dex_from_invokes(sites: Sequence[InvokeSite]) -> bytes:

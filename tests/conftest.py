@@ -66,6 +66,38 @@ def build_single_method_dex(body, class_path="com/fixture/App", method="run"):
     return builder.build(), list(builder.expected_invokes)
 
 
+# -- non-ASCII names: two-byte, three-byte and supplementary-plane characters
+# and an embedded U+0000, so every MUTF-8 form reaches the parser --------------
+
+NON_ASCII_CLASS = "com/fixture/\u00dcn\u00efc\u00f8d\u00e9"  # "Ünïcødé"
+
+
+def non_ascii_dex():
+    body = [
+        ins_invoke(InvokeKind.Static, NON_ASCII_CLASS, "\u65b9\u6cd5\U0001f600", "()V"),
+        ins_invoke(InvokeKind.Virtual, "org/\u00f1/\u4e16\u754c\x00", "lock\U0001f512", "()V"),
+        ins_invoke(InvokeKind.Virtual, "android/app/admin/DevicePolicyManager", "lockNow", "()V"),
+        ins_return_void(),
+    ]
+    builder = DexBuilder()
+    builder.add_class(
+        NON_ASCII_CLASS,
+        [
+            MethodDef("\u65b9\u6cd5\U0001f600", "()V", body),
+            MethodDef("\u00e9\x00", "()V", [ins_return_void()]),
+        ],
+    )
+    return builder.build(), list(builder.expected_invokes)
+
+
+def with_overlong_type_name(blob: bytes) -> bytes:
+    """``blob`` with the "Ü" (C3 9C) of NON_ASCII_CLASS's type name replaced by
+    C1 81, an overlong two-byte "A" of the same length."""
+    start = blob.index(f"L{NON_ASCII_CLASS};".encode() + b"\x00")
+    at = blob.index("\u00dc".encode(), start)
+    return blob[:at] + b"\xc1\x81" + blob[at + 2 :]
+
+
 @pytest.fixture
 def locker_dex():
     return build_single_method_dex(locker_body(), class_path="com/fixture/Locker")

@@ -25,7 +25,14 @@ from apksift.synth import (
     write_corpus,
 )
 
-from conftest import CORRUPT_ZIPS, chain_model_doc, corrupt_apk_bytes, locker_body
+from conftest import (
+    CORRUPT_ZIPS,
+    chain_model_doc,
+    corrupt_apk_bytes,
+    locker_body,
+    non_ascii_dex,
+    with_overlong_type_name,
+)
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +140,22 @@ def test_scan_structural_error_exit_3(workspace, tmp_path, capsys):
     assert rc == 3
     assert captured.out == ""
     assert captured.err == "error: StructuralError: header_size 116\n"
+
+
+def test_scan_overlong_type_name_exit_3(workspace, tmp_path, capsys):
+    blob, _ = non_ascii_dex()
+    _, ref_path = workspace["refs"][Granularity.Package]
+    argv = ["--model", str(workspace["model"]), "--reference", str(ref_path)]
+    good, bad = tmp_path / "good.apk", tmp_path / "bad.apk"
+    write_apk(good, [blob])
+    write_apk(bad, [with_overlong_type_name(blob)])
+    assert main(["scan", str(good)] + argv) in (0, 10, 11)
+    capsys.readouterr()
+    rc = main(["scan", str(bad)] + argv)
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidSequence: ") and captured.err.count("\n") == 1
 
 
 def test_scan_missing_file_exit_3(workspace, tmp_path, capsys):
@@ -447,11 +470,13 @@ def test_extract_skips_non_utf8_fixture(workspace, tmp_path, capsys):
         (("hyperparams", "min_samples_leaf"), 2),
         (("hyperparams", "features_per_split"), 3),
         (("feature_dim",), True),
+        (("trees", 0, 0, 2), 10**400),  # too large for a float
+        (("trees", 0, -1, 1), 10**400),
     ],
     ids=["trees-int", "tree-int", "leaf-string", "leaf-nan", "threshold-nan", "n_trees-string",
          "min_samples_leaf-0", "seed-negative", "n_trees-0", "max_depth-negative",
          "features_per_split-0", "max_depth-5", "min_samples_leaf-2", "features_per_split-3",
-         "feature_dim-true"],
+         "feature_dim-true", "threshold-huge-int", "leaf-huge-int"],
 )
 def test_model_info_corrupt_model_exit_3(tmp_path, capsys, keys, value):
     doc = chain_model_doc(2, "left")
@@ -469,7 +494,9 @@ def test_model_info_corrupt_model_exit_3(tmp_path, capsys, keys, value):
 
 
 @pytest.mark.parametrize(
-    "data", [b'{"format": "\xff"}', b"[" * 100_000], ids=["not-utf8", "deep-nesting"]
+    "data",
+    [b'{"format": "\xff"}', b"[" * 100_000, b'{"format": ' + b"7" * 5000 + b"}"],
+    ids=["not-utf8", "deep-nesting", "5000-digit-int"],  # json.dumps cannot write the last
 )
 def test_model_info_unreadable_model_exit_3(workspace, tmp_path, capsys, data):
     path = tmp_path / "model.json"
@@ -593,6 +620,26 @@ def test_negative_top_exit_2(workspace, tmp_path, capsys, command):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == "error: --top -1 < 0\n"
+
+
+@pytest.mark.parametrize(
+    "command", ["train", "eval-random", "eval-temporal", "eval-obfuscation", "rank"]
+)
+def test_negative_seed_exit_2(workspace, tmp_path, capsys, command):
+    _, ref_path = workspace["refs"][Granularity.Package]
+    argv = [command, "--manifest", str(workspace["manifest"]), "--reference", str(ref_path)]
+    if command == "train":
+        argv += ["--out-model", str(tmp_path / "m.json")]
+    if command == "eval-temporal":
+        argv += ["--train-cutoff", "2016-12-31", "--bin", "late:2017-01-01:2017-12-31"]
+    if command.startswith("eval-"):
+        argv += ["--out", str(tmp_path)]
+    rc = main(argv + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --seed -1 < 0\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_row_without_optional_columns_loads(workspace, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """DEX parsing: varints, string decoding, container structure, invoke
 extraction with its generator-backed oracle."""
 
+import re
 import struct
 import time
 from collections import Counter
@@ -38,6 +39,7 @@ from apksift.invokes import KIND_BY_OPCODE, InvokeKind
 from apksift.synth import (
     DexBuilder,
     MethodDef,
+    _encode_mutf8,
     _uleb,
     ins_fill_array_payload,
     ins_invoke,
@@ -48,7 +50,12 @@ from apksift.synth import (
     random_dex,
 )
 
-from conftest import build_single_method_dex
+from conftest import (
+    NON_ASCII_CLASS,
+    build_single_method_dex,
+    non_ascii_dex,
+    with_overlong_type_name,
+)
 
 
 # -- ULEB128 -----------------------------------------------------------------
@@ -184,6 +191,38 @@ def test_mutf8_missing_terminator():
 def test_mutf8_truncated_sequence():
     with pytest.raises(InvalidSequence):
         decode_mutf8(b"\xc3\x00")
+
+
+def _join_surrogate_pairs(s):
+    return re.sub(
+        "[\ud800-\udbff][\udc00-\udfff]",
+        lambda m: chr(0x10000 + ((ord(m[0][0]) - 0xD800) << 10) + ord(m[0][1]) - 0xDC00),
+        s,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(
+        st.characters()
+        | st.characters(categories=["Cs"])  # lone surrogates
+        | st.sampled_from("\x00\ud83d\ude00")  # NUL and the halves of U+1F600
+    )
+)
+def test_mutf8_encode_decode_round_trip(s):
+    # MUTF-8 cannot tell a supplementary character from its surrogate pair
+    assert decode_mutf8(_encode_mutf8(s) + b"\x00") == _join_surrogate_pairs(s)
+
+
+@pytest.mark.parametrize(
+    "data",
+    ["c1 81", "c0 bf", "e0 80 80", "e0 9f bf", "f0 9f 98 80"],
+    ids=["overlong-2-byte-U+0041", "overlong-2-byte-U+003F", "overlong-3-byte-U+0000",
+         "overlong-3-byte-U+07FF", "4-byte-form"],
+)
+def test_mutf8_forbidden_forms(data):
+    with pytest.raises(InvalidSequence):
+        decode_mutf8(bytes.fromhex(data) + b"\x00")
 
 
 # -- opcode size table ----------------------------------------------------------
@@ -446,6 +485,22 @@ def test_stream_overrun_detected():
     struct.pack_into("<I", patched, code_off + 12, 1)
     with pytest.raises(StructuralError):
         extract_invokes(parse_dex(bytes(patched)))
+
+
+def test_non_ascii_names_parse_and_resolve():
+    blob, expected = non_ascii_dex()
+    dex = parse_dex(blob, strict=True)
+    sites = extract_invokes(dex)
+    assert sites == expected
+    assert {s.caller_class for s in sites} == {NON_ASCII_CLASS}
+    assert [s.target.name for s in sites] == ["\u65b9\u6cd5\U0001f600", "lock\U0001f512", "lockNow"]
+    assert count_invoke_targets(dex) == Counter(s.target for s in expected)
+
+
+def test_overlong_type_name_raises():
+    blob, _ = non_ascii_dex()
+    with pytest.raises(InvalidSequence):
+        parse_dex(with_overlong_type_name(blob))
 
 
 def test_extraction_is_pure(crypto_dex):
