@@ -293,9 +293,11 @@ def cmd_eval_temporal(args) -> int:
 
 
 def cmd_eval_obfuscation(args) -> int:
+    kind = ObfuscationKind(args.kind)
+    if args.stub and kind is ObfuscationKind.StringEncryption:
+        raise UsageError(f"--stub does not apply to --kind {kind.value}: it injects no System API")
     ref = _resolve_reference(args)
     samples = load_invoke_samples(args.manifest)
-    kind = ObfuscationKind(args.kind)
     if args.stub:
         t = ObfuscationTransform(kind, tuple(load_invoke_list_text(args.stub)), args.seed)
     else:

@@ -8,8 +8,8 @@ DEX versions 035 through 039; spot values are asserted by the test suite.
 Three pseudo-instructions are variable-sized and are NOT covered by the
 table: packed-switch-payload (ident 0x0100), sparse-switch-payload (0x0200)
 and fill-array-data-payload (0x0300). All three share opcode byte 0x00 with
-`nop` and are distinguished by the high byte of the first code unit; callers
-must compute their size from the payload header.
+`nop` and are distinguished by the high byte of the first code unit, so a
+walker sizes every opcode-0 unit with ``payload_units`` alone.
 """
 
 # fmt: off
@@ -48,10 +48,12 @@ FILL_ARRAY_IDENT = 0x03  # 0x0300
 
 
 def payload_units(data: bytes, pos: int, end: int) -> int:
-    """Size in code units of the payload pseudo-instruction at byte ``pos``.
+    """Size in code units of the opcode-0 instruction at byte ``pos``.
 
-    ``pos`` points at a unit whose low byte is 0x00 and whose high byte is a
-    payload ident. ``end`` bounds the readable region.
+    ``pos`` points at a whole unit whose low byte is 0x00: a payload
+    pseudo-instruction sized from its header, or a one-unit ``nop`` for any
+    other high byte. ``end`` bounds the readable region; -1 means the
+    payload header does not fit before it.
     """
     ident = data[pos + 1]
     if ident == PACKED_SWITCH_IDENT:
@@ -75,5 +77,5 @@ def payload_units(data: bytes, pos: int, end: int) -> int:
             | (data[pos + 7] << 24)
         )
         return (width * count + 1) // 2 + 4
-    # nop with a stray high byte: tolerated as a 1-unit nop.
+    # nop, whatever its high byte
     return 1

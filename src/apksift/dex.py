@@ -29,13 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dalvik import (
-    FILL_ARRAY_IDENT,
-    OPCODE_BYTES,
-    PACKED_SWITCH_IDENT,
-    SPARSE_SWITCH_IDENT,
-    payload_units,
-)
+from .dalvik import OPCODE_BYTES, payload_units
 from .errors import (
     ApksiftError,
     BadMagic,
@@ -363,16 +357,10 @@ def _walk_into(
         elif op:
             pos += sizes[op]
         else:
-            ident = data[pos + 1] if pos + 1 < end else 0
-            if ident == 0:
-                pos += 2
-            elif ident in (PACKED_SWITCH_IDENT, SPARSE_SWITCH_IDENT, FILL_ARRAY_IDENT):
-                units = payload_units(data, pos, end)
-                if units < 0:
-                    raise StructuralError(f"truncated payload at {pos}")
-                pos += units * 2
-            else:
-                pos += 2  # nop with stray high byte
+            units = payload_units(data, pos, end)
+            if units < 0:
+                raise StructuralError(f"truncated payload at {pos}")
+            pos += units * 2
     if pos != end:
         raise StructuralError(
             f"instruction stream at {code_off} overruns insns_size by {(pos - end) // 2} units"
@@ -414,15 +402,13 @@ def _walk_batched(blob: bytes, code_offs: list[int]) -> np.ndarray:
                 | (data.take(at + 2, mode="clip").astype(np.int64) << 8)
                 | op[invoke]
             )
-        nops = np.flatnonzero(op == 0)
-        if len(nops):
-            # payload pseudo-instructions (idents 1-3) are rare; size them one by one
-            ident = data.take(pos[nops] + 1)
-            for i in nops[(ident >= 1) & (ident <= 3)].tolist():
-                size = payload_units(blob, int(pos[i]), int(end[i]))
-                if size < 0:
-                    raise StructuralError("truncated payload")
-                step[i] = size * 2
+        # opcode 0 (a nop or a payload pseudo-instruction) is rare; size each
+        # one alone, as the scalar walk does
+        for i in np.flatnonzero(op == 0).tolist():
+            size = payload_units(blob, int(pos[i]), int(end[i]))
+            if size < 0:
+                raise StructuralError("truncated payload")
+            step[i] = size * 2
         pos += step
         left = end - pos
         done = left <= 0

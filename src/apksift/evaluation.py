@@ -116,13 +116,15 @@ class RocCurve:
         if last.fpr != 1.0 or last.tpr != 1.0:
             raise ValueError("curve does not end at (1, 1)")
 
+    def within_fpr(self, target_fpr: float) -> RocPoint | None:
+        """The last point with fpr <= target (None if none qualify): the
+        highest TPR and the lowest threshold within that budget."""
+        return next((p for p in reversed(self.points) if p.fpr <= target_fpr), None)
+
     def tpr_at_fpr(self, target_fpr: float) -> float:
         """Max TPR among points with fpr <= target (0.0 if none qualify)."""
-        best = 0.0
-        for p in self.points:
-            if p.fpr <= target_fpr and p.tpr > best:
-                best = p.tpr
-        return best
+        point = self.within_fpr(target_fpr)
+        return 0.0 if point is None else point.tpr
 
     def auc(self) -> float:
         xs = [0.0] + [p.fpr for p in self.points]
@@ -183,10 +185,7 @@ def operating_point(curve: RocCurve, target_fpr: float = 0.01) -> float:
     non-increasing in the threshold, so this maximizes TPR); if no point
     meets the budget, fall back to the highest threshold on the curve.
     """
-    candidates = [p.threshold for p in curve.points if p.fpr <= target_fpr]
-    if not candidates:
-        return curve.points[0].threshold
-    return min(candidates)
+    return (curve.within_fpr(target_fpr) or curve.points[0]).threshold
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +253,24 @@ class RepeatResult:
 
 
 @dataclass(frozen=True)
-class RandomSplitReport:
+class _Report:
+    """The fields every protocol's report shares."""
+
     protocol: str
     tool_version: str
     seed: int
     reference_fingerprint: str
     params: dict
+    notes: tuple[str, ...]
+    runtime_seconds: float = field(compare=False)
+
+
+@dataclass(frozen=True)
+class RandomSplitReport(_Report):
     repeats: tuple[RepeatResult, ...]
     mean: dict[str, float]
     std: dict[str, float]  # empty when repeats == 1
     averaged_curves: dict[str, tuple[tuple[float, float], ...]]
-    notes: tuple[str, ...]
-    runtime_seconds: float = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -280,35 +285,21 @@ class BinResult:
 
 
 @dataclass(frozen=True)
-class TemporalReport:
-    protocol: str
-    tool_version: str
-    seed: int
-    reference_fingerprint: str
-    params: dict
+class TemporalReport(_Report):
     threshold: float
     n_trees: int
     bins: tuple[BinResult, ...]
     overall_detection_rate: float | None
-    notes: tuple[str, ...]
-    runtime_seconds: float = field(compare=False)
 
 
 @dataclass(frozen=True)
-class ObfuscationReport:
-    protocol: str
-    tool_version: str
-    seed: int
-    reference_fingerprint: str
-    params: dict
+class ObfuscationReport(_Report):
     transform_kind: str
     plus_one: bool
     injected_id: str | None
     n_transformed: int
     n_detected: int
     detection_rate: float
-    notes: tuple[str, ...]
-    runtime_seconds: float = field(compare=False)
 
 
 def _check_target_fpr(target_fpr: float) -> None:

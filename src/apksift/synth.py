@@ -263,9 +263,11 @@ class DexBuilder:
                         methods.add((tdesc, name, note_proto(mdesc)))
 
         strings.update(types)
-        string_list = sorted(strings)
+        # the DEX format orders string_ids by UTF-16 code units and type_ids
+        # by string index
+        string_list = sorted(strings, key=lambda s: s.encode("utf-16-be", "surrogatepass"))
         string_idx = {s: i for i, s in enumerate(string_list)}
-        type_list = sorted(types)
+        type_list = sorted(types, key=string_idx.__getitem__)
         type_idx = {t: i for i, t in enumerate(type_list)}
         proto_list = sorted(
             protos, key=lambda p: (type_idx[p[0]], tuple(type_idx[x] for x in p[1]))

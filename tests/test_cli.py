@@ -301,6 +301,28 @@ def test_eval_obfuscation_plus_one_two_rates(workspace, tmp_path, capsys):
     assert (tmp_path / "obfuscation_class_encryption_plus_one.json").exists()
 
 
+@pytest.mark.parametrize("manifest", ["corpus", "missing"])
+def test_eval_obfuscation_string_encryption_stub_exit_2(workspace, tmp_path, capsys, manifest):
+    # string encryption injects no stub, so --stub would be silently ignored;
+    # the pair is rejected before the manifest is read
+    _, ref_path = workspace["refs"][Granularity.Method]
+    stub = tmp_path / "stub.txt"
+    stub.write_text("invoke-static Lcom/obf/Loader; Ljava/io/File;->delete()Z\n")
+    path = workspace["manifest"] if manifest == "corpus" else tmp_path / "missing.csv"
+    rc = main(
+        ["eval-obfuscation", "--manifest", str(path), "--reference", str(ref_path),
+         "--kind", "string-encryption", "--stub", str(stub), "--n-trees", "5",
+         "--out", str(tmp_path / "out")]
+    )
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err == (
+        "error: --stub does not apply to --kind string-encryption: it injects no System API\n"
+    )
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 def test_rank_output(workspace, capsys):
     _, ref_path = workspace["refs"][Granularity.Package]
     rc = main(

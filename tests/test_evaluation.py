@@ -96,9 +96,10 @@ def brute_force_points(scores, positive):
         st.tuples(st.integers(min_value=0, max_value=4), st.booleans()),
         min_size=2,
         max_size=10,
-    ).filter(lambda rows: any(p for _, p in rows) and any(not p for _, p in rows))
+    ).filter(lambda rows: any(p for _, p in rows) and any(not p for _, p in rows)),
+    st.sampled_from([0.0, 0.01, 0.2, 1 / 3, 0.5, 0.99, 1.0]),
 )
-def test_roc_matches_brute_force_enumeration(rows):
+def test_roc_matches_brute_force_enumeration(rows, budget):
     scores = [s / 4 for s, _ in rows]
     positive = [p for _, p in rows]
     curve = roc_from_scores(scores, positive)
@@ -106,6 +107,10 @@ def test_roc_matches_brute_force_enumeration(rows):
         scores, positive
     )
     curve.validate()  # monotone, rates in [0, 1]
+    # so the last point within an FPR budget has the max TPR and min threshold
+    fit = [p for p in curve.points if p.fpr <= budget]
+    assert curve.tpr_at_fpr(budget) == max(p.tpr for p in fit)
+    assert operating_point(curve, budget) == min(p.threshold for p in fit)
 
 
 def test_roc_auc_trapezoid():

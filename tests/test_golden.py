@@ -2,8 +2,8 @@
 
 Each subcommand runs once through ``main``. The tests pin its exit code and
 its stdout (with the temp directory written as ``<tmp>``), plus the sha256
-of the model file, the features CSV and every report JSON (with its
-``runtime_seconds`` line removed). A change that keeps behaviour the same
+of the model file, the features CSV, every report CSV and every report JSON
+(with its ``runtime_seconds`` line removed). A change that keeps behaviour the same
 leaves every literal below unchanged; the floats behind the digests are
 computed on the host, so a different libm or numpy may move them.
 """
@@ -57,6 +57,28 @@ GOLDEN_STDOUT = {
         "bin=oct\tn=12\tdetection_rate=0.6667\n"
         "bin=dec\tn=0\tdetection_rate=n/a (empty)\n"
         "report written to <tmp>/temporal-out/temporal_report.json\n"
+    ),
+    "eval-obfuscation-csv": (
+        0,
+        "class-encryption\tbaseline\tdetection_rate=0.0000\n"
+        "report written to <tmp>/obfuscation/obfuscation_class_encryption_baseline.csv\n"
+        "class-encryption\tplus_one\tdetection_rate=1.0000\n"
+        "report written to <tmp>/obfuscation/obfuscation_class_encryption_plus_one.csv\n"
+    ),
+    "eval-random-csv": (
+        0,
+        "malware_vs_benign:auc\tmean=1.0000\tstd=0.0000\n"
+        "malware_vs_benign:tpr_at_0.01_fpr\tmean=1.0000\tstd=0.0000\n"
+        "ransomware_vs_benign:auc\tmean=0.9988\tstd=0.0018\n"
+        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9500\tstd=0.0707\n"
+        "report written to <tmp>/random/random_split_report.csv\n"
+    ),
+    "eval-temporal-csv": (
+        0,
+        "bin=jan-sep\tn=12\tdetection_rate=0.9167\n"
+        "bin=oct\tn=12\tdetection_rate=0.6667\n"
+        "bin=dec\tn=0\tdetection_rate=n/a (empty)\n"
+        "report written to <tmp>/temporal-out/temporal_report.csv\n"
     ),
     "extract": (
         0,
@@ -120,14 +142,26 @@ GOLDEN_STDOUT = {
 GOLDEN_SHA256 = {
     "features.csv": "c9d8ee0109a86d71da3fd0bb6e8d679bf2d12c4dac3d08cf950154f967bdbaa5",
     "model.json": "f1c17ff8b33ade37dba6b06b03872989071da453788efab75ee4d32639b90889",
+    "obfuscation/obfuscation_class_encryption_baseline.csv": (
+        "8d8f6ba2d8d1308c4065a90bc1ce9a04c3e8b7d4566049bc8d43cc6f430cfa87"
+    ),
     "obfuscation/obfuscation_class_encryption_baseline.json": (
         "3955f8d5e615e3261269bae728a66d147617ce6ba3ed6c2907f2507ce6189094"
+    ),
+    "obfuscation/obfuscation_class_encryption_plus_one.csv": (
+        "709369eb4605a7b10cb9a72b1c60e0f567951864ec0b0e866cba2b78e1565d26"
     ),
     "obfuscation/obfuscation_class_encryption_plus_one.json": (
         "064562b6079f82b695ef06263867e40a3643d71c0ec04ad8ac441aa2f0a169d7"
     ),
+    "random/random_split_report.csv": (
+        "9b320134e8913f514153a3e47b5044b2c96863566d2e894967aafe3b91165d07"
+    ),
     "random/random_split_report.json": (
         "7597dbb637040e042d2ee1d580f1800bd70b1137b9f8311412f95bb13035d2be"
+    ),
+    "temporal-out/temporal_report.csv": (
+        "aff0deeac556cde5bdccdd22088957a8eec6aa45bdb92a8d04b03ad33ffcc12d"
     ),
     "temporal-out/temporal_report.json": (
         "8e92d9944bef4f70aa4fc24cdc9f8d7a57ae7cfe3adbad9f29e04046d82199d5"
@@ -180,6 +214,18 @@ def run_all(root):
     run("eval-obfuscation", "eval-obfuscation", "--manifest", manifest,
         "--reference", ref[Granularity.Method], "--kind", "class-encryption", "--plus-one",
         "--n-trees", "15", "--seed", "7", "--out", root / "obfuscation")
+    # the same three protocols again, written as CSV next to their JSON reports
+    run("eval-random-csv", "eval-random", "--manifest", manifest,
+        "--reference", ref[Granularity.Package], "--repeats", "2", "--grid", "5", "10",
+        "--seed", "7", "--out", root / "random", "--format", "csv")
+    run("eval-temporal-csv", "eval-temporal", "--manifest", temporal_manifest,
+        "--reference", temporal_ref, "--train-cutoff", "2016-12-31",
+        "--bin", "jan-sep:2017-01-01:2017-09-30", "--bin", "oct:2017-10-01:2017-10-31",
+        "--bin", "dec:2017-12-01:2017-12-31", "--n-trees", "15", "--seed", "7",
+        "--out", root / "temporal-out", "--format", "csv")
+    run("eval-obfuscation-csv", "eval-obfuscation", "--manifest", manifest,
+        "--reference", ref[Granularity.Method], "--kind", "class-encryption", "--plus-one",
+        "--n-trees", "15", "--seed", "7", "--out", root / "obfuscation", "--format", "csv")
     run("rank", "rank", "--manifest", manifest, "--reference", ref[Granularity.Class],
         "--splits", "3", "--top", "8", "--seed", "7")
     run("model-info", "model-info", "--model", model)

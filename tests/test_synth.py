@@ -7,10 +7,12 @@ alone. One digest over the fixtures can.
 
 import hashlib
 
+from apksift.dex import _string, parse_dex
 from apksift.invokes import dumps_invoke_list
 from apksift.reference import Granularity
 from apksift.synth import (
     EXPERIMENT_VOCAB,
+    DexBuilder,
     benchmark_dex,
     generate_corpus,
     generate_temporal_corpus,
@@ -44,3 +46,22 @@ def synth_digest() -> str:
 
 def test_synth_output_pinned():
     assert synth_digest() == SYNTH_DIGEST
+
+
+def _utf16(s: str) -> bytes:
+    return s.encode("utf-16-be", "surrogatepass")
+
+
+def test_string_and_type_ids_in_utf16_order():
+    # by code point U+FF01 sorts before U+1F600; by UTF-16 code unit, the
+    # order the DEX format prescribes, it sorts after the surrogate 0xD83D
+    b = DexBuilder()
+    b.add_filler_strings(["\uff01", "\U0001f600"])
+    b.add_class("p/\uff01", [])
+    b.add_class("p/\U0001f600", [])
+    dex = parse_dex(b.build())
+    pool = [_string(dex.blob, off) for off in dex.string_offsets]
+    assert pool == sorted(pool, key=_utf16)
+    assert pool.index("\U0001f600") < pool.index("\uff01")
+    assert list(dex.type_names) == sorted(dex.type_names, key=_utf16)
+    assert dex.type_names.index("Lp/\U0001f600;") < dex.type_names.index("Lp/\uff01;")
