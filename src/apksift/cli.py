@@ -79,7 +79,7 @@ def _add_common(parser, seed=True, report=False):
     parser.add_argument("--reference", help="reference-list file")
     parser.add_argument(
         "--granularity",
-        choices=["package", "class", "method"],
+        choices=[g.value for g in Granularity],
         help="expected granularity (header is trusted when omitted)",
     )
     if seed:

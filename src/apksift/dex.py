@@ -1,10 +1,15 @@
 """Binary DEX parsing: just enough of the container to enumerate call sites.
 
-The parser materializes the id pools (strings, types, protos, methods,
-classes), locates every method body through the class_data items, and walks
-each instruction stream with the fixed opcode-size table, emitting one
-record per invoke-type instruction. Nothing is executed or verified beyond
-structural sanity; debug info, annotations and try/catch tables are skipped.
+The parser reads the type, proto, method and class pools into tables but
+keeps the string pool as offsets: type names are decoded up front, and any
+other string (a method name) only when a call target is resolved. It locates
+every method body through the class_data items and walks each instruction
+stream with the fixed opcode-size table. Each invoke-type instruction gives
+one packed hit, ``method_idx << 8 | opcode``: ``extract_invokes`` resolves
+every hit into an InvokeSite, while ``count_invoke_targets`` counts the hits
+per method index and resolves each distinct index once. Nothing is executed
+or verified beyond structural sanity; debug info, annotations and try/catch
+tables are skipped.
 
 ``count_invoke_targets`` walks a dex with ``BATCH_MIN_ITEMS`` code items or
 more in lock-step: each numpy step decodes the next instruction of every

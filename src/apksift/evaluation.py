@@ -5,9 +5,11 @@ robustness.
 Protocol invariants enforced here rather than assumed: train/test id sets
 are disjoint in every protocol, stratified splits preserve per-class
 proportions within one sample, and each ROC curve is monotone with rates in
-[0, 1]. Averaged ROC curves across repeats use vertical averaging (mean TPR
-on a fixed FPR grid); per-repeat curves are always reported alongside, and
-the choice is recorded in the report notes.
+[0, 1]. Stratified splits here and the CV folds that choose n_trees share
+one per-class draw, forest.shuffled_by_class. Averaged ROC curves across
+repeats use vertical averaging (mean TPR on a fixed FPR grid); per-repeat
+curves are always reported alongside, and the choice is recorded in the
+report notes.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .errors import (
 from .features import extract_features, extract_from_sample, invokes_from_sample
 from .forest import (
     CLASS_INDEX,
-    CLASS_ORDER,
     Hyperparams,
     Label,
     LabeledDataset,
@@ -47,6 +48,7 @@ from .forest import (
     derive_seed,
     predict,
     predict_proba,
+    shuffled_by_class,
     train_forest,
 )
 from .invokes import InvokeSite
@@ -138,26 +140,22 @@ class RocCurve:
 def roc_from_scores(scores: Sequence[float], positive: Sequence[bool]) -> RocCurve:
     """Sweep every distinct score as a threshold (classify as positive when
     score >= threshold), prefixed by a sentinel above the maximum score so
-    the curve starts at (0, 0)."""
-    n_pos = sum(1 for p in positive if p)
-    n_neg = len(positive) - n_pos
+    the curve starts at (0, 0). Each threshold's rates are the cumulative
+    TP and FP counts at the last row of its tie group, in descending score
+    order."""
+    pos = np.asarray(positive, dtype=bool)
+    n_pos = int(np.count_nonzero(pos))
+    n_neg = len(pos) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise MissingClass(f"need both positives and negatives ({n_pos} pos, {n_neg} neg)")
-    order = sorted(range(len(scores)), key=lambda i: -scores[i])
-    points = [RocPoint(float(max(scores) + 1.0), 0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = len(order)
-    while i < n:
-        t = scores[order[i]]
-        while i < n and scores[order[i]] == t:
-            if positive[order[i]]:
-                tp += 1
-            else:
-                fp += 1
-            i += 1
-        points.append(RocPoint(float(t), fp / n_neg, tp / n_pos))
-    curve = RocCurve(tuple(points))
+    s = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-s, kind="stable")
+    s, tp = s[order], np.cumsum(pos[order])
+    last = np.flatnonzero(np.append(s[1:] != s[:-1], True))
+    fp = last + 1 - tp[last]
+    sentinel = RocPoint(float(s[0] + 1.0), 0.0, 0.0)
+    sweep = map(RocPoint, s[last].tolist(), (fp / n_neg).tolist(), (tp[last] / n_pos).tolist())
+    curve = RocCurve((sentinel, *sweep))
     curve.validate()
     return curve
 
@@ -195,18 +193,17 @@ def operating_point(curve: RocCurve, target_fpr: float = 0.01) -> float:
 def stratified_split_indices(
     labels: Sequence[Label], fraction: float, rng: np.random.Generator
 ) -> tuple[list[int], list[int]]:
-    """Per-class split preserving proportions within one sample."""
+    """Per-class split preserving proportions within one sample: the first
+    round(n * fraction) rows of each class's shuffled_by_class order train,
+    and a class of two or more keeps a row on each side."""
+    y = np.array([CLASS_INDEX[label] for label in labels], dtype=np.int8)
     train: list[int] = []
     test: list[int] = []
-    for label in CLASS_ORDER:
-        idxs = [i for i, l in enumerate(labels) if l is label]
-        if not idxs:
-            continue
-        perm = rng.permutation(len(idxs))
+    for idxs in shuffled_by_class(y, rng):
         n_train = round(len(idxs) * fraction)
         n_train = min(max(n_train, 1), len(idxs) - 1) if len(idxs) >= 2 else n_train
-        for j, p in enumerate(perm.tolist()):
-            (train if j < n_train else test).append(idxs[p])
+        train += idxs[:n_train].tolist()
+        test += idxs[n_train:].tolist()
     return sorted(train), sorted(test)
 
 

@@ -436,12 +436,7 @@ def predict_proba(model: RandomForestModel, fv: FeatureVector) -> tuple[float, f
 
 def label_of(probs: Sequence[float]) -> Label:
     """Argmax of a class-probability triple; ties break by class order."""
-    best = 0
-    if probs[1] > probs[best]:
-        best = 1
-    if probs[2] > probs[best]:
-        best = 2
-    return CLASS_ORDER[best]
+    return CLASS_ORDER[max(range(N_CLASSES), key=probs.__getitem__)]
 
 
 def predict(model: RandomForestModel, fv: FeatureVector) -> Label:
@@ -457,26 +452,25 @@ def derive_seed(*parts: int) -> int:
     return int(state[0]) << 32 | int(state[1])
 
 
-def stratified_folds(
-    y: np.ndarray, n_folds: int, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Per-class shuffled round-robin assignment; proportions within +-1."""
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
-    for c in range(N_CLASSES):
-        idxs = np.flatnonzero(y == c)
-        idxs = rng.permutation(idxs)
-        for j, i in enumerate(idxs.tolist()):
-            folds[j % n_folds].append(i)
-    return [np.array(sorted(f), dtype=np.int64) for f in folds]
+def shuffled_by_class(y: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+    """Each class's row indices in a random order, in class order; the one
+    per-class draw behind CV folds and stratified splits. An empty class
+    draws nothing from rng."""
+    return [rng.permutation(np.flatnonzero(y == c)) for c in range(N_CLASSES)]
+
+
+def stratified_folds(y: np.ndarray, n_folds: int, rng: np.random.Generator) -> np.ndarray:
+    """Each row's fold number: every class's shuffled_by_class order is dealt
+    round-robin from fold 0, so per-class proportions are within +-1."""
+    fold_of = np.empty(len(y), dtype=np.intp)
+    for idxs in shuffled_by_class(y, rng):
+        fold_of[idxs] = np.arange(len(idxs)) % n_folds
+    return fold_of
 
 
 def best_grid_value(table: dict[int, float]) -> int:
     """The grid value with the highest CV accuracy; ties go to the smaller value."""
-    best_value, best_acc = None, -1.0
-    for v in sorted(table):
-        if table[v] > best_acc:
-            best_value, best_acc = v, table[v]
-    return best_value
+    return max(sorted(table), key=table.__getitem__)
 
 
 def cv_accuracy_table(
@@ -487,8 +481,9 @@ def cv_accuracy_table(
 ) -> dict[int, float]:
     """Mean stratified-CV accuracy per grid value.
 
-    Folds whose training partition degenerates to a single class are skipped
-    from the average.
+    Each fold's train and test subsets are built once and every grid value is
+    fitted on them. Folds whose training partition degenerates to a single
+    class are skipped from the average.
     """
     if n_folds < 2:
         raise InvalidHyperparams(f"cv folds {n_folds} < 2")
@@ -500,27 +495,23 @@ def cv_accuracy_table(
     if values[0] < 1:
         raise InvalidHyperparams(f"n_trees {values[0]} < 1")
     _, y = data.to_arrays()
-    folds = stratified_folds(y, n_folds, np.random.default_rng((seed, 101)))
-    all_idx = np.arange(len(data))
-    table: dict[int, float] = {}
-    for v in values:
-        accs = []
-        for k, fold in enumerate(folds):
-            if fold.size == 0:
-                continue
-            train_mask = np.ones(len(data), dtype=bool)
-            train_mask[fold] = False
-            train = data.subset(all_idx[train_mask].tolist())
-            if sum(1 for c in train.class_counts() if c > 0) < 2:
-                continue
+    fold_of = stratified_folds(y, n_folds, np.random.default_rng((seed, 101)))
+    accs: dict[int, list[float]] = {v: [] for v in values}
+    for k in range(n_folds):
+        in_fold = fold_of == k
+        if not in_fold.any():
+            continue
+        train = data.subset(np.flatnonzero(~in_fold).tolist())
+        if sum(1 for c in train.class_counts() if c > 0) < 2:
+            continue
+        test = data.subset(np.flatnonzero(in_fold).tolist())
+        for v in values:
             model = train_forest(train, Hyperparams(n_trees=v, seed=derive_seed(seed, v, k)))
-            test = data.subset(fold.tolist())
             hits = sum(1 for s in test if predict(model, s.features) is s.label)
-            accs.append(hits / len(test))
-        if not accs:
-            raise TooFewSamples("no usable CV fold")
-        table[v] = sum(accs) / len(accs)
-    return table
+            accs[v].append(hits / len(test))
+    if not accs[values[0]]:
+        raise TooFewSamples("no usable CV fold")
+    return {v: sum(a) / len(a) for v, a in accs.items()}
 
 
 def rank_features(datasets: Sequence[LabeledDataset]) -> list[tuple[int, float]]:

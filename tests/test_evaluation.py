@@ -26,6 +26,7 @@ from apksift.evaluation import (
 )
 from apksift.features import FeatureVector
 from apksift.forest import (
+    CLASS_INDEX,
     Hyperparams,
     Label,
     LabeledDataset,
@@ -33,6 +34,7 @@ from apksift.forest import (
     RandomForestModel,
     Tree,
     predict,
+    stratified_folds,
     train_forest,
 )
 from apksift.obfuscation import ObfuscationKind, default_transform
@@ -178,6 +180,48 @@ def test_split_arithmetic_hundred_samples():
     assert abs(len(train_idx) - 50) <= 2  # one rounding per class
     assert len(train_idx) + len(test_idx) == 100
     assert not (set(train_idx) & set(test_idx))
+
+
+# One label list of each shape: all three classes, a missing class, singleton classes.
+PINNED_LABELS = {
+    "mixed": [T, R, M, T, T, M, R, R, T, M, T, R, M, T],
+    "missing": [R, T, T, R, T, R, T, T, R, T, R],
+    "singletons": [T, T, M, T, T, R, T, T],
+}
+
+
+@pytest.mark.parametrize(
+    "name, fraction, seed, train_idx, test_idx",
+    [
+        ("mixed", 0.5, 3, [4, 5, 6, 9, 10, 11, 13], [0, 1, 2, 3, 7, 8, 12]),
+        ("mixed", 0.3, 11, [3, 8, 11, 12], [0, 1, 2, 4, 5, 6, 7, 9, 10, 13]),
+        ("missing", 0.5, 3, [0, 4, 7, 8, 9], [1, 2, 3, 5, 6, 10]),
+        ("missing", 0.3, 11, [2, 5, 6, 8], [0, 1, 3, 4, 7, 9, 10]),
+        ("singletons", 0.5, 3, [3, 6, 7], [0, 1, 2, 4, 5]),
+        ("singletons", 0.3, 11, [1, 4], [0, 2, 3, 5, 6, 7]),
+    ],
+)
+def test_stratified_split_draw_pinned(name, fraction, seed, train_idx, test_idx):
+    rng = np.random.default_rng(seed)
+    assert stratified_split_indices(PINNED_LABELS[name], fraction, rng) == (train_idx, test_idx)
+
+
+@pytest.mark.parametrize(
+    "name, n_folds, seed, rows",
+    [
+        ("mixed", 3, 5, [[2, 3, 5, 6, 8, 11], [7, 10, 12, 13], [0, 1, 4, 9]]),
+        ("mixed", 4, 101, [[3, 6, 8, 12], [0, 4, 5, 11], [2, 7, 13], [1, 9, 10]]),
+        ("missing", 3, 5, [[2, 6, 8, 10], [0, 5, 7, 9], [1, 3, 4]]),
+        ("missing", 4, 101, [[2, 5, 6, 10], [1, 4, 8], [0, 9], [3, 7]]),
+        ("missing", 8, 7, [[0, 9], [4, 10], [1, 3], [7, 8], [2, 5], [6], [], []]),
+        ("singletons", 3, 5, [[1, 2, 4, 5], [6, 7], [0, 3]]),
+        ("singletons", 4, 101, [[1, 2, 4, 5], [0, 3], [7], [6]]),
+    ],
+)
+def test_stratified_fold_draw_pinned(name, n_folds, seed, rows):
+    y = np.array([CLASS_INDEX[label] for label in PINNED_LABELS[name]], dtype=np.int8)
+    fold_of = stratified_folds(y, n_folds, np.random.default_rng(seed))
+    assert [np.flatnonzero(fold_of == k).tolist() for k in range(n_folds)] == rows
 
 
 # -- random split protocol --------------------------------------------------------------

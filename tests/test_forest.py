@@ -35,6 +35,7 @@ from apksift.forest import (
     dumps_model,
     entropy,
     information_gain,
+    label_of,
     load_model,
     loads_model,
     predict,
@@ -374,6 +375,18 @@ def test_predict_argmax_and_ties():
     assert predict(manual_model((0.5, 0.5, 0.0)), fv(0, 0)) is T
     assert predict(manual_model((0.0, 0.5, 0.5)), fv(0, 0)) is M
     assert predict(manual_model((0.1, 0.2, 0.7)), fv(0, 0)) is R
+
+
+@pytest.mark.parametrize(
+    "probs, label",
+    [
+        ((1 / 3, 1 / 3, 1 / 3), Label.Trusted),
+        ((0.2, 0.4, 0.4), Label.GenericMalware),
+        ((0.4, 0.2, 0.4), Label.Trusted),
+    ],
+)
+def test_label_of_ties_break_by_class_order(probs, label):
+    assert label_of(probs) is label
 
 
 def test_proba_sums_to_one():
