@@ -20,6 +20,7 @@ from apksift.evaluation import (
     random_split_eval,
     temporal_eval,
 )
+from apksift.features import platform_features
 from apksift.obfuscation import ObfuscationKind, default_transform
 from apksift.reference import Granularity
 from apksift.synth import (
@@ -77,14 +78,16 @@ def run_obfuscation(out: Path, seed: int, per_class: int) -> None:
     samples = generate_corpus(n_per_class=per_class, seed=seed)
     for g in GRANULARITIES:
         ref = reference_from_vocab(EXPERIMENT_VOCAB, g)
+        data = dataset_from_invoke_samples(samples, ref)
+        platform = {s.sample_id: platform_features(s.invokes, ref) for s in samples}
         line = [f"  {g.value:8s}"]
         for kind in ObfuscationKind:
             t = default_transform(kind, seed=seed)
-            base = obfuscation_eval(samples, ref, t, plus_one=False, seed=seed)
+            base = obfuscation_eval(data, platform, ref, t, plus_one=False, seed=seed)
             emit_report(base, "text", out / f"obfuscation_{kind.value}_{g.value}.json")
             cell = f"{kind.value}={base.detection_rate:.3f}"
             if kind is ObfuscationKind.ClassEncryption:
-                plus = obfuscation_eval(samples, ref, t, plus_one=True, seed=seed)
+                plus = obfuscation_eval(data, platform, ref, t, plus_one=True, seed=seed)
                 emit_report(
                     plus, "text", out / f"obfuscation_{kind.value}_plus_one_{g.value}.json"
                 )

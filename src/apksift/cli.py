@@ -26,8 +26,8 @@ from .errors import ApksiftError, FingerprintMismatch, SingleClassData, UsageErr
 from .evaluation import (
     TemporalSplitSpec,
     emit_report,
-    load_invoke_samples,
     load_labeled_dataset,
+    load_obfuscation_dataset,
     obfuscation_eval,
     random_split_eval,
     repeat_split,
@@ -297,7 +297,7 @@ def cmd_eval_obfuscation(args) -> int:
     if args.stub and kind is ObfuscationKind.StringEncryption:
         raise UsageError(f"--stub does not apply to --kind {kind.value}: it injects no System API")
     ref = _resolve_reference(args)
-    samples = load_invoke_samples(args.manifest)
+    data, platform = load_obfuscation_dataset(args.manifest, ref)
     if args.stub:
         t = ObfuscationTransform(kind, tuple(load_invoke_list_text(args.stub)), args.seed)
     else:
@@ -305,7 +305,7 @@ def cmd_eval_obfuscation(args) -> int:
     arms = [False, True] if args.plus_one else [False]
     for plus_one in arms:
         report = obfuscation_eval(
-            samples, ref, t, plus_one=plus_one, seed=args.seed, n_trees=args.n_trees
+            data, platform, ref, t, plus_one=plus_one, seed=args.seed, n_trees=args.n_trees
         )
         tag = "plus_one" if plus_one else "baseline"
         print(f"{kind.value}\t{tag}\tdetection_rate={report.detection_rate:.4f}")

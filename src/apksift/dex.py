@@ -4,12 +4,12 @@ The parser reads the type, proto, method and class pools into tables but
 keeps the string pool as offsets: type names are decoded up front, and any
 other string (a method name) only when a call target is resolved. It locates
 every method body through the class_data items and walks each instruction
-stream with the fixed opcode-size table. Each invoke-type instruction gives
-one packed hit, ``method_idx << 8 | opcode``: ``extract_invokes`` resolves
-every hit into an InvokeSite, while ``count_invoke_targets`` counts the hits
-per method index and resolves each distinct index once. Nothing is executed
-or verified beyond structural sanity; debug info, annotations and try/catch
-tables are skipped.
+stream with the fixed opcode-size table. Each invoke-type instruction gives one
+packed hit, ``method_idx << 8 | opcode``: commands count the hits per method
+index (``count_invoke_targets``), while ``extract_invokes``, the test oracle of
+acceptance criterion 2 and of the obfuscation count form, resolves each hit
+into an InvokeSite. Nothing is executed or verified beyond structural sanity;
+debug info, annotations and try/catch tables are skipped.
 
 ``count_invoke_targets`` walks a dex with ``BATCH_MIN_ITEMS`` code items or
 more in lock-step: each numpy step decodes the next instruction of every
@@ -139,6 +139,9 @@ class DexFile:
     method_table: tuple[tuple[int, int, int], ...]  # (class_type_idx, name_str_idx, proto_idx)
     class_items: tuple[ClassItem, ...]
     blob: bytes = field(repr=False)
+
+    def caller_of(self, item: ClassItem) -> str:  # "" if its type names no class, as [I
+        return class_path_of(self.type_names[item.class_type_index]) or ""
 
 
 def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
@@ -494,7 +497,7 @@ def extract_invokes(dex: DexFile) -> list[InvokeSite]:
     cache: dict[int, MethodRef | None] = {}
     names: dict[int, str] = {}
     for item in dex.class_items:
-        caller = class_path_of(dex.type_names[item.class_type_index]) or ""
+        caller = dex.caller_of(item)
         for code_off in item.code_offsets:
             hits: list[int] = []
             _walk_into(dex.blob, code_off, hits.append)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import (
     TooFewSamples,
     UsageError,
 )
-from .features import extract_features, extract_from_sample, invokes_from_sample
+from .features import caller_split, extract_features, extract_from_sample, obfuscated_vector
 from .forest import (
     CLASS_INDEX,
     Hyperparams,
@@ -52,7 +52,7 @@ from .forest import (
     train_forest,
 )
 from .invokes import InvokeSite
-from .obfuscation import ObfuscationTransform, transform
+from .obfuscation import ObfuscationTransform
 from .reference import ApiReferenceList
 
 logger = logging.getLogger(__name__)
@@ -65,7 +65,7 @@ HOLDOUT_FRACTION = 0.2
 
 
 # ---------------------------------------------------------------------------
-# samples carried at the invoke-list level (needed by obfuscation protocols)
+# samples carried at the invoke-list level (synthetic corpora)
 
 
 @dataclass(frozen=True)
@@ -497,33 +497,38 @@ def temporal_eval(
 
 
 def obfuscation_eval(
-    samples: Sequence[InvokeSample],
+    data: LabeledDataset,
+    platform: Mapping,
     ref: ApiReferenceList,
     t: ObfuscationTransform,
     plus_one: bool,
     seed: int = 0,
     n_trees: int = 50,
 ) -> ObfuscationReport:
-    """Train on originals, classify every ransomware sample transformed by t.
+    """Train on originals, classify every ransomware sample as obfuscated_vector
+    transforms it by t; ``platform`` maps each id to its platform-caller vector.
 
     With plus_one, exactly one transformed sample (seeded choice) joins the
     training set labeled Ransomware, mirroring a single-sample injection.
     The report's transform_kind is t's kind.
     """
     t0 = time.perf_counter()
-    ransomware = [s for s in samples if s.label is Label.Ransomware]
-    if not ransomware:
+    transformed = {
+        s.sample_id: obfuscated_vector(s.features, platform[s.sample_id], t, ref)
+        for s in data
+        if s.label is Label.Ransomware
+    }
+    if not transformed:
         raise EmptyBin("ransomware")
-    transformed = {s.sample_id: extract_features(transform(s.invokes, t), ref) for s in ransomware}
 
-    train_rows = list(dataset_from_invoke_samples(samples, ref))
+    train_rows = list(data)
     injected_id = None
     if plus_one:
         rng = np.random.default_rng((seed, 23))
-        pick = ransomware[int(rng.integers(len(ransomware)))]
-        injected_id = pick.sample_id
+        injected_id = list(transformed)[int(rng.integers(len(transformed)))]
+        # load_manifest rejects a NUL byte in a path, so no loaded id is this one
         train_rows.append(
-            LabeledSample(f"{pick.sample_id}+obf", transformed[pick.sample_id], Label.Ransomware)
+            LabeledSample(f"{injected_id}\0obf", transformed[injected_id], Label.Ransomware)
         )
     train = LabeledDataset(train_rows)
     model = train_forest(train, Hyperparams(n_trees=n_trees, seed=derive_seed(seed, 29)))
@@ -668,11 +673,11 @@ def _load_rows(manifest_path, load, skip_errors: bool) -> tuple[list, int]:
     return loaded, len(rows) - len(loaded)
 
 
-def load_invoke_samples(manifest_path) -> list[InvokeSample]:
-    """Manifest rows as invoke-level samples (needed by obfuscation protocols);
-    unanalyzable rows are logged and dropped, as load_labeled_dataset's skip_errors does."""
-    loaded, _ = _load_rows(manifest_path, invokes_from_sample, skip_errors=True)
-    return [InvokeSample(row.path, row.label, row.first_seen, sites) for row, sites in loaded]
+def load_obfuscation_dataset(manifest_path, ref: ApiReferenceList) -> tuple[LabeledDataset, dict]:
+    """load_labeled_dataset(skip_errors=True), and each row's platform vector, in one read."""
+    loaded, _ = _load_rows(manifest_path, partial(caller_split, ref=ref), True)
+    samples = (LabeledSample(r.path, every, r.label, r.first_seen) for r, (every, _) in loaded)
+    return LabeledDataset(samples), {r.path: platform for r, (_, platform) in loaded}
 
 
 def load_manifest(path) -> list[ManifestRow]:

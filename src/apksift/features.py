@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .apk import open_apk
-from .dex import count_invoke_targets, extract_invokes, parse_dex
+from .dex import count_invoke_targets, parse_dex
 from .invokes import InvokeSite, load_invoke_list_text
+from .obfuscation import ObfuscationKind, ObfuscationTransform, is_user_implemented
 from .reference import ApiReferenceList, key_of
 
 COUNT_CEILING = 2**31 - 1
@@ -78,13 +79,34 @@ def extract_from_sample(path, ref: ApiReferenceList, strict: bool = False) -> Fe
     return features_from_dex_blobs(open_apk(path).dex_blobs, ref, strict=strict)
 
 
-def invokes_from_sample(path) -> tuple[InvokeSite, ...]:
-    """Every invoke site of an apk (all DEX blobs in order), or of an invoke-list fixture."""
+def platform_features(invokes: Iterable[InvokeSite], ref: ApiReferenceList) -> FeatureVector:
+    """extract_features of the invokes made from platform classes alone."""
+    return extract_features((s for s in invokes if not is_user_implemented(s.caller_class)), ref)
+
+
+def caller_split(path, ref: ApiReferenceList) -> tuple[FeatureVector, FeatureVector]:
+    """extract_from_sample and platform_features of one sample, read once: an
+    apk's dex files are counted again through a view of their platform classes."""
     if is_invoke_list_path(path):
-        return tuple(load_invoke_list_text(path))
-    return tuple(
-        site for blob in open_apk(path).dex_blobs for site in extract_invokes(parse_dex(blob))
-    )
+        sites = load_invoke_list_text(path)
+        return extract_features(sites, ref), platform_features(sites, ref)
+    every, platform = Counter(), Counter()
+    for blob in open_apk(path).dex_blobs:
+        dex = parse_dex(blob)
+        every.update(count_invoke_targets(dex))
+        kept = tuple(c for c in dex.class_items if not is_user_implemented(dex.caller_of(c)))
+        platform.update(count_invoke_targets(replace(dex, class_items=kept)))
+    return _vector_from_counter(every, ref), _vector_from_counter(platform, ref)
+
+
+def obfuscated_vector(
+    every: FeatureVector, platform: FeatureVector, t: ObfuscationTransform, ref: ApiReferenceList
+) -> FeatureVector:
+    """extract_features(transform(invokes, t), ref) from caller_split's
+    vectors, less the calls to com/obf/StringVault, which are not System API."""
+    base = platform if t.kind is ObfuscationKind.ClassEncryption else every
+    counts = zip(base.counts, extract_features(t.stub_profile, ref).counts)
+    return FeatureVector(tuple(min(a + b, COUNT_CEILING) for a, b in counts), ref.fingerprint)
 
 
 def write_features_csv(

@@ -1,9 +1,9 @@
 """Invoke-list transformations mimicking commercial obfuscation strategies.
 
-Transforms act on the invoke-list intermediate representation rather than
-rewriting DEX bytes: the evaluation only needs the feature-level
-consequences of each strategy, and each strategy's injected call profile is
-fixed across samples (shipped as auditable invoke-list fixtures under
+``transform`` rewrites an invoke list, not DEX bytes: it is the readable
+spec of each strategy and the test oracle of ``features.obfuscated_vector``,
+which the protocol applies as count arithmetic. Each strategy's injected
+call profile is fixed across samples (auditable invoke-list fixtures under
 ``data/stubs/``). Known approximation, stated up front: the stub contents
 are plausible stand-ins for what a commercial protector injects, so any
 conclusion drawn with them is about the mechanism, not a specific product.

@@ -3,12 +3,15 @@ tiny reference lists, and hypothesis strategies for domain objects."""
 
 from __future__ import annotations
 
+import csv
 import io
+import struct
 import zipfile
 
 import pytest
 from hypothesis import strategies as st
 
+from apksift.dex import parse_dex
 from apksift.invokes import InvokeKind, InvokeSite, MethodRef
 from apksift.reference import Granularity, make_reference
 from apksift.synth import (
@@ -17,10 +20,12 @@ from apksift.synth import (
     ins_const4,
     ins_if_ne,
     ins_invoke,
+    ins_invoke_site,
     ins_move_object,
     ins_move_result,
     ins_move_result_object,
     ins_return_void,
+    write_apk,
 )
 
 # -- the locker snippet: screen lock + password reset through device admin --
@@ -106,6 +111,48 @@ def locker_dex():
 @pytest.fixture
 def crypto_dex():
     return build_single_method_dex(crypto_body(), class_path="com/fixture/Crypt")
+
+
+# -- apks whose calls come from user, platform and array-typed classes ---------
+
+# a class def of this class is re-pointed at the array type [I, whose caller is ""
+ARRAY_CLASS = "com/app/IntArray"
+
+
+def mixed_caller_dex(classes) -> bytes:
+    """A dex of one class per (caller class path, invoke sites) pair, each with
+    one method ``run([I)V`` that makes those calls; the class def of
+    ARRAY_CLASS gets the type [I."""
+    builder = DexBuilder()
+    for caller, sites in classes:
+        body = [ins_invoke_site(s) for s in sites] + [ins_return_void()]
+        builder.add_class(caller, [MethodDef("run", "([I)V", body)])
+    blob = bytearray(builder.build())
+    dex = parse_dex(bytes(blob))
+    types = [dex.type_names[c.class_type_index] for c in dex.class_items]
+    if f"L{ARRAY_CLASS};" in types:
+        at = struct.unpack_from("<I", blob, 100)[0] + 32 * types.index(f"L{ARRAY_CLASS};")
+        struct.pack_into("<I", blob, at, dex.type_names.index("[I"))
+    return bytes(blob)
+
+
+def write_mixed_caller_apks(directory, samples):
+    """One apk per sample, its calls dealt in turn to a user class, a
+    platform class and ARRAY_CLASS (odd samples keep the platform class in a
+    second dex), plus a manifest.csv; returns the manifest's path."""
+    directory.mkdir()
+    manifest = directory / "manifest.csv"
+    with open(manifest, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["path", "label", "first_seen", "family"])
+        for index, s in enumerate(samples):
+            sid = s.sample_id
+            callers = (f"com/app/{sid}/Main", f"androidx/core/{sid}/Compat", ARRAY_CLASS)
+            user, platform, array = [(c, s.invokes[k::3]) for k, c in enumerate(callers)]
+            dexes = [[user, platform, array]] if index % 2 == 0 else [[user, array], [platform]]
+            write_apk(directory / f"{sid}.apk", [mixed_caller_dex(d) for d in dexes])
+            writer.writerow([f"{sid}.apk", s.label.value, s.first_seen.isoformat(), "x"])
+    return manifest
 
 
 # -- reference subsets matching the worked feature-extraction example ---------

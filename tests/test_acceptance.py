@@ -25,7 +25,7 @@ from apksift.evaluation import (
     roc_from_scores,
     temporal_eval,
 )
-from apksift.features import extract_features, features_from_dex_blobs
+from apksift.features import extract_features, features_from_dex_blobs, platform_features
 from apksift.forest import (
     Hyperparams,
     Label,
@@ -252,8 +252,10 @@ def test_criterion_7_obfuscation_analog():
     # class encryption: one injected training sample flips detection, paired seed
     ref = reference_from_vocab(EXPERIMENT_VOCAB, Granularity.Method)
     t_class = default_transform(ObfuscationKind.ClassEncryption, seed=SEED)
-    base = obfuscation_eval(samples, ref, t_class, plus_one=False, seed=SEED, n_trees=50)
-    plus = obfuscation_eval(samples, ref, t_class, plus_one=True, seed=SEED, n_trees=50)
+    data = dataset_from_invoke_samples(samples, ref)
+    platform = {s.sample_id: platform_features(s.invokes, ref) for s in samples}
+    base = obfuscation_eval(data, platform, ref, t_class, plus_one=False, seed=SEED, n_trees=50)
+    plus = obfuscation_eval(data, platform, ref, t_class, plus_one=True, seed=SEED, n_trees=50)
     assert plus.detection_rate >= 0.95, f"plus-one rate {plus.detection_rate:.3f}"
     assert base.detection_rate < plus.detection_rate
     ok(

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import logging
+import struct
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apksift.cli import main
+from apksift.dex import parse_dex
 from apksift.features import extract_features
 from apksift.forest import Hyperparams, Label, LabeledDataset, LabeledSample, save_model, train_forest
 from apksift.reference import Granularity, save_reference
@@ -30,8 +34,10 @@ from conftest import (
     chain_model_doc,
     corrupt_apk_bytes,
     locker_body,
+    mixed_caller_dex,
     non_ascii_dex,
     with_overlong_type_name,
+    write_mixed_caller_apks,
 )
 
 
@@ -553,6 +559,65 @@ def test_eval_obfuscation_skips_bad_row(workspace, tmp_path, capsys):
                "--n-trees", "5", "--out", str(tmp_path)])
     assert rc == 0
     assert "class-encryption\tbaseline\tdetection_rate=" in capsys.readouterr().out
+
+
+def test_eval_obfuscation_plus_one_id_never_collides(workspace, tmp_path, capsys):
+    # r.apk is the only ransomware row, so the seeded pick is r.apk whatever
+    # the seed; the injected copy must not take the id of the row r.apk+obf
+    samples = generate_corpus(n_per_class=1, seed=3)
+    rows = []
+    for path, s in (("r.apk", samples[2]), ("r.apk+obf", samples[0]), ("m.apk", samples[1])):
+        write_apk(tmp_path / path, [dex_from_invokes(list(s.invokes))])
+        rows.append(f"{path},{s.label.value}")
+    _, ref_path = workspace["refs"][Granularity.Method]
+    rc = main(["eval-obfuscation", "--manifest", str(_manifest(tmp_path, rows)),
+               "--reference", str(ref_path), "--plus-one", "--n-trees", "5", "--seed", "1",
+               "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    arms = [line.rpartition("\t")[0] for line in out.splitlines() if "detection_rate=" in line]
+    assert arms == ["class-encryption\tbaseline", "class-encryption\tplus_one"]
+
+
+def _walk_fault_dex() -> bytes:
+    """A dex whose one code item declares 2 of its 4 code units, so the walk
+    of a user class overruns insns_size."""
+    site = generate_corpus(n_per_class=1, seed=3)[2].invokes[0]
+    blob = bytearray(mixed_caller_dex([("com/app/Broken", [site])]))
+    code_off = parse_dex(bytes(blob)).class_items[0].code_offsets[0]
+    struct.pack_into("<I", blob, code_off + 12, 2)
+    return bytes(blob)
+
+
+def test_eval_obfuscation_counts_apks_without_invoke_sites(
+    workspace, tmp_path, capsys, caplog, monkeypatch
+):
+    # eval-obfuscation counts invokes per method index as every command does:
+    # nothing on its path resolves one InvokeSite per call or rebuilds a list
+    def per_site_path(*args, **kwargs):
+        raise AssertionError("per-site path reached")
+
+    for name, module in list(sys.modules.items()):
+        for attr in ("extract_invokes", "transform"):
+            if name.partition(".")[0] == "apksift" and hasattr(module, attr):
+                monkeypatch.setattr(module, attr, per_site_path)
+    corpus = tmp_path / "apks"
+    manifest = write_mixed_caller_apks(corpus, generate_corpus(n_per_class=6, seed=5))
+    header_fault = bytearray(mixed_caller_dex([]))
+    header_fault[36] = 0x71  # header_size
+    (corpus / "junk.apk").write_bytes(b"not a zip")
+    write_apk(corpus / "header.apk", [bytes(header_fault)])
+    write_apk(corpus / "walk.apk", [_walk_fault_dex()])
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("junk.apk,ransomware\nheader.apk,trusted\nwalk.apk,ransomware\n")
+    _, ref_path = workspace["refs"][Granularity.Method]
+    with caplog.at_level(logging.WARNING, logger="apksift"):
+        rc = main(["eval-obfuscation", "--manifest", str(manifest), "--reference", str(ref_path),
+                   "--plus-one", "--n-trees", "5", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().out.count("detection_rate=") == 2
+    skipped = [r.args[0] for r in caplog.records if r.msg.startswith("skipping")]
+    assert skipped == ["junk.apk", "header.apk", "walk.apk"]
 
 
 def test_eval_temporal_bad_date_checked_before_manifest(workspace, tmp_path, capsys):

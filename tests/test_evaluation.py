@@ -24,7 +24,7 @@ from apksift.evaluation import (
     stratified_split_indices,
     temporal_eval,
 )
-from apksift.features import FeatureVector
+from apksift.features import FeatureVector, platform_features
 from apksift.forest import (
     CLASS_INDEX,
     Hyperparams,
@@ -403,9 +403,10 @@ def test_obfuscation_identity_equals_in_training_recall():
 
     samples = invoke_corpus(seed=2)
     ref = reference_from_vocab(EXPERIMENT_VOCAB, Granularity.Package)
+    platform = {s.sample_id: platform_features(s.invokes, ref) for s in samples}
     report = obfuscation_eval(
-        samples, ref, default_transform(ObfuscationKind.StringEncryption), plus_one=False,
-        seed=6, n_trees=15,
+        dataset_from_invoke_samples(samples, ref), platform, ref,
+        default_transform(ObfuscationKind.StringEncryption), plus_one=False, seed=6, n_trees=15,
     )
     # recompute in-training ransomware recall with the same training seed
     from apksift.forest import derive_seed
@@ -422,9 +423,11 @@ def test_obfuscation_no_ransomware_raises_empty_bin():
 
     samples = [s for s in invoke_corpus(seed=1) if s.label is not R]
     ref = reference_from_vocab(EXPERIMENT_VOCAB, Granularity.Package)
+    platform = {s.sample_id: platform_features(s.invokes, ref) for s in samples}
     with pytest.raises(EmptyBin):
         obfuscation_eval(
-            samples, ref, default_transform(ObfuscationKind.StringEncryption), plus_one=False
+            dataset_from_invoke_samples(samples, ref), platform, ref,
+            default_transform(ObfuscationKind.StringEncryption), plus_one=False,
         )
 
 

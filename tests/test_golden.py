@@ -1,6 +1,8 @@
 """Golden outputs of every CLI subcommand on a small seeded corpus.
 
-Each subcommand runs once through ``main``. The tests pin its exit code and
+Each subcommand runs once through ``main``, and ``eval-obfuscation`` runs
+once more per obfuscation kind on apks whose calls come from user,
+platform and array-typed classes. The tests pin its exit code and
 its stdout (with the temp directory written as ``<tmp>``), plus the sha256
 of the model file, the features CSV, every report CSV and every report JSON
 (with its ``runtime_seconds`` line removed). A change that keeps behaviour the same
@@ -17,6 +19,7 @@ from datetime import date
 import pytest
 
 from apksift.cli import main
+from apksift.obfuscation import ObfuscationKind
 from apksift.reference import Granularity, save_reference
 from apksift.synth import (
     EXPERIMENT_VOCAB,
@@ -30,6 +33,8 @@ from apksift.synth import (
     write_corpus,
 )
 
+from conftest import write_mixed_caller_apks
+
 TEMPORAL_BINS = (
     TemporalBinSpec("jan-sep", date(2017, 1, 1), date(2017, 9, 30), 12, 0.15),
     TemporalBinSpec("oct", date(2017, 10, 1), date(2017, 10, 31), 12, 0.35),
@@ -42,6 +47,27 @@ GOLDEN_STDOUT = {
         "report written to <tmp>/obfuscation/obfuscation_class_encryption_baseline.json\n"
         "class-encryption\tplus_one\tdetection_rate=1.0000\n"
         "report written to <tmp>/obfuscation/obfuscation_class_encryption_plus_one.json\n"
+    ),
+    "eval-obfuscation-apk-class-encryption": (
+        0,
+        "class-encryption\tbaseline\tdetection_rate=0.8750\n"
+        "report written to <tmp>/obfuscation-apk/obfuscation_class_encryption_baseline.json\n"
+        "class-encryption\tplus_one\tdetection_rate=0.8750\n"
+        "report written to <tmp>/obfuscation-apk/obfuscation_class_encryption_plus_one.json\n"
+    ),
+    "eval-obfuscation-apk-resource-encryption": (
+        0,
+        "resource-encryption\tbaseline\tdetection_rate=1.0000\n"
+        "report written to <tmp>/obfuscation-apk/obfuscation_resource_encryption_baseline.json\n"
+        "resource-encryption\tplus_one\tdetection_rate=1.0000\n"
+        "report written to <tmp>/obfuscation-apk/obfuscation_resource_encryption_plus_one.json\n"
+    ),
+    "eval-obfuscation-apk-string-encryption": (
+        0,
+        "string-encryption\tbaseline\tdetection_rate=1.0000\n"
+        "report written to <tmp>/obfuscation-apk/obfuscation_string_encryption_baseline.json\n"
+        "string-encryption\tplus_one\tdetection_rate=1.0000\n"
+        "report written to <tmp>/obfuscation-apk/obfuscation_string_encryption_plus_one.json\n"
     ),
     "eval-random": (
         0,
@@ -154,6 +180,24 @@ GOLDEN_SHA256 = {
     "obfuscation/obfuscation_class_encryption_plus_one.json": (
         "064562b6079f82b695ef06263867e40a3643d71c0ec04ad8ac441aa2f0a169d7"
     ),
+    "obfuscation-apk/obfuscation_class_encryption_baseline.json": (
+        "e82d22c04cc72dc0bebce0522c2eebd565c2e02406b62495973f79c5b2bdb3c0"
+    ),
+    "obfuscation-apk/obfuscation_class_encryption_plus_one.json": (
+        "d9904af3771a137ab3d65a6a889ea0c4a78364924e7479db0a20b2a66ef6904b"
+    ),
+    "obfuscation-apk/obfuscation_resource_encryption_baseline.json": (
+        "adc2469d1b816a041a0ef470e9f08e782b143983bacf28898cdc291e7de6ac5f"
+    ),
+    "obfuscation-apk/obfuscation_resource_encryption_plus_one.json": (
+        "483ed73a18ce9e6443a45c39b6716ffd695a4a221a64b6556a784fcfbc7a50d5"
+    ),
+    "obfuscation-apk/obfuscation_string_encryption_baseline.json": (
+        "b580732869b1facd664d01c058b79a8152e6c7b27130622eb7942d4ad0b1af46"
+    ),
+    "obfuscation-apk/obfuscation_string_encryption_plus_one.json": (
+        "10ae89d8e7ea758c868fd3db8468ec764b2bdb3311afc6675249221f1d769098"
+    ),
     "random/random_split_report.csv": (
         "9b320134e8913f514153a3e47b5044b2c96863566d2e894967aafe3b91165d07"
     ),
@@ -226,6 +270,11 @@ def run_all(root):
     run("eval-obfuscation-csv", "eval-obfuscation", "--manifest", manifest,
         "--reference", ref[Granularity.Method], "--kind", "class-encryption", "--plus-one",
         "--n-trees", "15", "--seed", "7", "--out", root / "obfuscation", "--format", "csv")
+    apk_manifest = write_mixed_caller_apks(root / "apks", generate_corpus(n_per_class=8, seed=11))
+    for kind in ObfuscationKind:
+        run(f"eval-obfuscation-apk-{kind.value}", "eval-obfuscation", "--manifest", apk_manifest,
+            "--reference", ref[Granularity.Method], "--kind", kind.value, "--plus-one",
+            "--n-trees", "15", "--seed", "7", "--out", root / "obfuscation-apk")
     run("rank", "rank", "--manifest", manifest, "--reference", ref[Granularity.Class],
         "--splits", "3", "--top", "8", "--seed", "7")
     run("model-info", "model-info", "--model", model)
@@ -265,6 +314,6 @@ def test_output_file_digest(golden_run, relpath):
 def test_every_output_file_is_pinned(golden_run):
     root, _ = golden_run
     written = {"model.json", "features.csv"}
-    for sub in ("random", "temporal-out", "obfuscation"):
+    for sub in ("random", "temporal-out", "obfuscation", "obfuscation-apk"):
         written |= {f"{sub}/{p.name}" for p in (root / sub).iterdir()}
     assert written == set(GOLDEN_SHA256)

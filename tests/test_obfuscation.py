@@ -1,11 +1,23 @@
 """Obfuscation transforms: feature identities, constant-map collapse,
-input immutability, stub fixtures."""
+input immutability, stub fixtures, and the count form the protocol applies
+checked against ``transform``."""
 
+import random
 from collections import Counter
+from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from apksift.features import extract_features
+from apksift.dex import extract_invokes, parse_dex
+from apksift.features import (
+    caller_split,
+    extract_features,
+    extract_from_sample,
+    obfuscated_vector,
+    platform_features,
+)
 from apksift.invokes import InvokeKind, InvokeSite, MethodRef
 from apksift.obfuscation import (
     ObfuscationKind,
@@ -15,10 +27,10 @@ from apksift.obfuscation import (
     load_stub_profile,
     transform,
 )
-from apksift.reference import Granularity, key_of, make_reference
-from apksift.synth import EXPERIMENT_VOCAB, reference_from_vocab
+from apksift.reference import Granularity, key_of, make_reference, target_of_key
+from apksift.synth import EXPERIMENT_VOCAB, reference_from_vocab, write_apk
 
-from conftest import invoke_lists
+from conftest import ARRAY_CLASS, class_paths, invoke_lists, method_refs, mixed_caller_dex
 
 
 def sample_invokes(caller="com/app/Main"):
@@ -140,3 +152,110 @@ def test_custom_stub_profile():
     t = ObfuscationTransform(ObfuscationKind.ClassEncryption, stub, seed=0)
     out = transform(sample_invokes(), t)
     assert out == list(stub)
+
+
+# -- the count form against the transform oracle ---------------------------------
+
+REFS = [reference_from_vocab(EXPERIMENT_VOCAB, g) for g in Granularity]
+TRANSFORMS = [default_transform(kind, seed=9) for kind in ObfuscationKind]
+# call targets the references count, besides random ones
+_KNOWN_TARGETS = [replace(target_of_key(k), descriptor="()V") for k in sorted(EXPERIMENT_VOCAB)]
+_KNOWN_TARGETS += [s.target for t in TRANSFORMS for s in t.stub_profile]
+_TARGETS = st.one_of(st.sampled_from(_KNOWN_TARGETS), method_refs())
+_CALLERS = st.one_of(
+    st.sampled_from(["", "com/app/Main", "androidx/core/Compat", "android/app/Service"]),
+    class_paths(),
+)
+_SITES = st.builds(InvokeSite, st.sampled_from(list(InvokeKind)), _CALLERS, _TARGETS)
+
+
+def assert_count_form_matches_oracle(every, platform, sites):
+    """obfuscated_vector of a sample's two vectors equals the vector of its
+    transformed invoke list, for every kind and reference granularity."""
+    for ref in REFS:
+        for t in TRANSFORMS:
+            got = obfuscated_vector(every[ref.granularity], platform[ref.granularity], t, ref)
+            assert got == extract_features(transform(sites, t), ref), (t.kind, ref.granularity)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_SITES, max_size=40))
+def test_count_form_matches_transform_on_invoke_lists(sites):
+    every = {ref.granularity: extract_features(sites, ref) for ref in REFS}
+    platform = {ref.granularity: platform_features(sites, ref) for ref in REFS}
+    assert_count_form_matches_oracle(every, platform, sites)
+
+
+@pytest.fixture(scope="module")
+def apk_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("count-form")
+
+
+def assert_apk_count_form_matches_oracle(apk_dir, classes):
+    """caller_split of a one-dex apk of ``classes`` gives
+    extract_from_sample's vector and a platform vector that, through
+    obfuscated_vector, match transform on extract_invokes' sites."""
+    blob = mixed_caller_dex(classes)
+    apk = apk_dir / "sample.apk"
+    write_apk(apk, [blob])
+    every, platform = {}, {}
+    for ref in REFS:
+        every[ref.granularity], platform[ref.granularity] = caller_split(apk, ref)
+        assert every[ref.granularity] == extract_from_sample(apk, ref)
+    assert_count_form_matches_oracle(every, platform, extract_invokes(parse_dex(blob)))
+
+
+# a class's sites keep only their kind and target: the dex names the caller
+_DEX_CLASSES = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([ARRAY_CLASS, "androidx/core/Compat", "android/app/Service"]),
+            class_paths(),
+        ),
+        st.lists(_SITES, max_size=12),
+    ),
+    max_size=8,
+    unique_by=lambda c: c[0],
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_DEX_CLASSES)
+def test_count_form_matches_transform_on_mixed_caller_dex(apk_dir, classes):
+    assert_apk_count_form_matches_oracle(apk_dir, classes)
+
+
+def test_count_form_matches_transform_on_lock_step_walks(apk_dir):
+    # 300 user and 300 platform classes: the whole dex and its platform view
+    # both have enough code items for count_invoke_targets' lock-step walk
+    rng = random.Random(5)
+    callers = [ARRAY_CLASS] + [f"{p}/C{i}" for p in ("com/app", "android/gen") for i in range(300)]
+    classes = [
+        (caller, [InvokeSite(rng.choice(list(InvokeKind)), "", rng.choice(_KNOWN_TARGETS))
+                  for _ in range(rng.randrange(4))])
+        for caller in callers
+    ]
+    assert_apk_count_form_matches_oracle(apk_dir, classes)
+
+
+def test_count_form_leaves_out_the_decryptor_calls():
+    # com/obf/StringVault is not System API, so the count form never sees the
+    # decryptor calls that string and resource encryption add: a reference
+    # with a key for it is the one place where it and transform differ
+    ref = make_reference(Granularity.Class, ["com/obf/StringVault", "java/io/File"])
+    site = InvokeSite(
+        InvokeKind.Virtual, "com/app/Main", MethodRef("java/io/File", "delete", "()Z")
+    )
+    every, platform = extract_features([site], ref), platform_features([site], ref)
+    got = {
+        t.kind: (
+            extract_features(transform([site], t), ref).counts,
+            obfuscated_vector(every, platform, t, ref).counts,
+        )
+        for t in TRANSFORMS
+    }
+    assert got == {
+        ObfuscationKind.StringEncryption: ((4, 1), (0, 1)),
+        ObfuscationKind.ResourceEncryption: ((4, 1), (0, 1)),
+        ObfuscationKind.ClassEncryption: ((0, 0), (0, 0)),
+    }

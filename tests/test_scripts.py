@@ -42,6 +42,16 @@ def test_run_experiments_obfuscation_and_temporal(tmp_path):
             expected.add(f"obfuscation_{kind}_{g}.json")
         expected.add(f"obfuscation_class-encryption_plus_one_{g}.json")
     assert names == expected
+    # class encryption collapses every transformed sample onto the stub until
+    # one transformed sample joins the training set
+    got = {}
+    for arm in ("", "_plus_one"):
+        path = tmp_path / "results" / f"obfuscation_class-encryption{arm}_method.json"
+        doc = json.loads(path.read_text())
+        got[arm] = tuple(
+            doc[k] for k in ("n_transformed", "n_detected", "detection_rate", "injected_id")
+        )
+    assert got == {"": (30, 0, 0.0, None), "_plus_one": (30, 30, 1.0, "r0001")}
 
 
 def test_run_experiments_random_split(tmp_path):
