@@ -1,15 +1,17 @@
 """Binary DEX parsing: just enough of the container to enumerate call sites.
 
-The parser reads the type, proto, method and class pools into tables but
-keeps the string pool as offsets: type names are decoded up front, and any
-other string (a method name) only when a call target is resolved. It locates
-every method body through the class_data items and walks each instruction
-stream with the fixed opcode-size table. Each invoke-type instruction gives one
-packed hit, ``method_idx << 8 | opcode``: commands count the hits per method
-index (``count_invoke_targets``), while ``extract_invokes``, the test oracle of
-acceptance criterion 2 and of the obfuscation count form, resolves each hit
-into an InvokeSite. Nothing is executed or verified beyond structural sanity;
-debug info, annotations and try/catch tables are skipped.
+The parser reads the type, proto, method and class pools into tables and
+decodes each pool string at most once per dex, into a pool keyed by data
+offset: type names up front, any other string (a method name) when a call
+target is resolved. It locates every method body through the class_data items
+and walks each instruction stream with the fixed opcode-size table. Each
+invoke-type instruction gives one packed hit, ``method_idx << 8 | opcode``:
+commands count the hits per method index and resolve each index to a target
+without a descriptor (``count_invoke_targets``), while ``extract_invokes``, the
+test oracle of acceptance criterion 2 and of the obfuscation count form,
+resolves each hit into an InvokeSite with its descriptor. Nothing is executed
+or verified beyond structural sanity; debug info, annotations and try/catch
+tables are skipped.
 
 ``count_invoke_targets`` walks a dex with ``BATCH_MIN_ITEMS`` code items or
 more in lock-step: each numpy step decodes the next instruction of every
@@ -21,8 +23,8 @@ the scalar code alone, so a malformed dex raises the same first error, in
 walk order, whichever path saw it.
 
 Parsing is lenient by default (malware is frequently slightly malformed);
-``strict=True`` additionally verifies the header Adler-32 checksum and
-eagerly decodes the whole string pool.
+``strict=True`` additionally verifies the header Adler-32 checksum and that
+every string of the pool decodes.
 """
 
 from __future__ import annotations
@@ -117,7 +119,7 @@ def decode_mutf8(data: bytes, start: int = 0) -> str:
 
 def _string(blob: bytes, off: int) -> str:
     """Decode the string_data_item at ``off`` (a bounds-checked pool offset)."""
-    _, pos = read_uleb128(blob, off)  # utf16 length, unused for decoding
+    pos = off + 1 if blob[off] < 0x80 else read_uleb128(blob, off)[1]  # skip the utf16 length
     return decode_mutf8(blob, pos)
 
 
@@ -131,7 +133,7 @@ class ClassItem:
 
 @dataclass
 class DexFile:
-    """Parsed DEX container (immutable after parse; shareable)."""
+    """Parsed DEX container; after parse only the string pool grows, as names resolve."""
 
     string_offsets: tuple[int, ...]  # string_data_off of each string id
     type_names: tuple[str, ...]
@@ -139,9 +141,16 @@ class DexFile:
     method_table: tuple[tuple[int, int, int], ...]  # (class_type_idx, name_str_idx, proto_idx)
     class_items: tuple[ClassItem, ...]
     blob: bytes = field(repr=False)
+    pool: dict[int, str] = field(repr=False, compare=False)  # decoded string by data offset
 
     def caller_of(self, item: ClassItem) -> str:  # "" if its type names no class, as [I
         return class_path_of(self.type_names[item.class_type_index]) or ""
+
+    def string(self, idx: int) -> str:  # string id idx, decoded once per data offset
+        off = self.string_offsets[idx]
+        if off not in self.pool:
+            self.pool[off] = _string(self.blob, off)
+        return self.pool[off]
 
 
 def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
@@ -151,12 +160,9 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     ``strict=True`` also ChecksumMismatch and InvalidSequence for any
     undecodable pool string.
     """
-    if len(blob) < 8 or blob[0:4] != b"dex\n" or blob[7] != 0:
+    if len(blob) < 8 or blob[0:4] != b"dex\n" or not blob[4:7].isdigit() or blob[7] != 0:
         raise BadMagic(f"magic {blob[0:8]!r}")
-    try:
-        version = int(blob[4:7].decode("ascii"))
-    except (UnicodeDecodeError, ValueError):
-        raise BadMagic(f"magic {blob[0:8]!r}") from None
+    version = int(blob[4:7])
     if version not in SUPPORTED_VERSIONS:
         raise UnsupportedVersion(f"dex version {version:03d}")
     if len(blob) < HEADER_SIZE:
@@ -217,7 +223,9 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     if max(type_string_idx, default=-1) >= string_ids_size:
         idx = next(idx for idx in type_string_idx if idx >= string_ids_size)
         raise StructuralError(f"type_id string index {idx} out of range")
-    type_names = tuple(_string(blob, string_offsets[i]) for i in type_string_idx)
+    type_offsets = [string_offsets[i] for i in type_string_idx]
+    pool = {off: _string(blob, off) for off in dict.fromkeys(type_offsets)}
+    type_names = tuple(map(pool.__getitem__, type_offsets))
 
     proto_table = []
     for _shorty, ret_idx, params_off in struct.iter_unpack(
@@ -253,8 +261,9 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
         class_items.append(ClassItem(class_idx, code_offs))
 
     if strict:
-        for off in string_offsets:
-            _string(blob, off)
+        for off in dict.fromkeys(string_offsets):
+            if off not in pool:
+                _string(blob, off)
     return DexFile(
         string_offsets=string_offsets,
         type_names=type_names,
@@ -262,6 +271,7 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
         method_table=tuple(method_table),
         class_items=tuple(class_items),
         blob=blob,
+        pool=pool,
     )
 
 
@@ -432,8 +442,8 @@ def _walk_batched(blob: bytes, code_offs: list[int]) -> np.ndarray:
     return np.concatenate(hit_parts)
 
 
-def _method_descriptor(dex: DexFile, proto_idx: int) -> str:
-    ret_idx, params_off = dex.proto_table[proto_idx]
+def _method_descriptor(dex: DexFile, method_idx: int) -> str:
+    ret_idx, params_off = dex.proto_table[dex.method_table[method_idx][2]]
     params = ""
     if params_off:
         if params_off + 4 > len(dex.blob):
@@ -449,38 +459,23 @@ def _method_descriptor(dex: DexFile, proto_idx: int) -> str:
     return f"({params}){dex.type_names[ret_idx]}"
 
 
-def _resolve_method(dex: DexFile, method_idx: int, cache: dict, names: dict) -> MethodRef | None:
-    """Resolve a method_ids index to a MethodRef; None for primitive receivers.
-
-    For one walk of ``dex``, ``cache`` keeps refs by method index and
-    ``names`` decoded names by string index (many methods share a name).
-    """
-    try:
-        return cache[method_idx]
-    except KeyError:
-        pass
+def _resolve_method(dex: DexFile, method_idx: int) -> MethodRef | None:
+    """Resolve a method_ids index to a descriptor-free MethodRef; None for
+    primitive receivers."""
     if method_idx >= len(dex.method_table):
         raise StructuralError(f"invoke method index {method_idx} out of range")
-    class_idx, name_idx, proto_idx = dex.method_table[method_idx]
+    class_idx, name_idx, _ = dex.method_table[method_idx]
     class_path = class_path_of(dex.type_names[class_idx])
     if class_path is None:
-        ref = None
-    else:
-        name = names.get(name_idx)
-        if name is None:
-            name = names[name_idx] = _string(dex.blob, dex.string_offsets[name_idx])
-        ref = MethodRef(class_path, name, _method_descriptor(dex, proto_idx))
-    cache[method_idx] = ref
-    return ref
+        return None
+    return MethodRef(class_path, dex.string(name_idx), "")
 
 
 def _count_resolved(dex: DexFile, pairs) -> Counter:
-    """Sum ``(method_idx, n)`` pairs into counts per resolved MethodRef."""
-    cache: dict[int, MethodRef | None] = {}
-    names: dict[int, str] = {}
+    """Sum ``(method_idx, n)`` pairs, one per index, into counts per MethodRef."""
     counts: Counter = Counter()
     for method_idx, n in pairs:
-        ref = _resolve_method(dex, method_idx, cache, names)
+        ref = _resolve_method(dex, method_idx)
         if ref is not None:
             counts[ref] += n
     return counts
@@ -494,25 +489,25 @@ def extract_invokes(dex: DexFile) -> list[InvokeSite]:
     the throughput path.
     """
     sites: list[InvokeSite] = []
-    cache: dict[int, MethodRef | None] = {}
-    names: dict[int, str] = {}
     for item in dex.class_items:
         caller = dex.caller_of(item)
         for code_off in item.code_offsets:
             hits: list[int] = []
             _walk_into(dex.blob, code_off, hits.append)
             for packed in hits:
-                ref = _resolve_method(dex, packed >> 8, cache, names)
+                ref = _resolve_method(dex, packed >> 8)
                 if ref is not None:
+                    ref = MethodRef(ref.class_path, ref.name, _method_descriptor(dex, packed >> 8))
                     sites.append(InvokeSite(KIND_BY_OPCODE[packed & 0xFF], caller, ref))
     return sites
 
 
 def count_invoke_targets(dex: DexFile) -> Counter:
-    """Occurrence count per resolved MethodRef across the whole file.
+    """Occurrence count per resolved MethodRef, descriptor "", across the file.
 
-    Equivalent to Counter(site.target for site in extract_invokes(dex)) but
-    avoids materializing per-site objects; this is the throughput path.
+    Equivalent to extract_invokes(dex) counted by target with descriptors
+    stripped, but never builds a per-site object or a descriptor; this is the
+    throughput path.
     """
     blob = dex.blob
     code_offs = [off for item in dex.class_items for off in item.code_offsets]
@@ -532,4 +527,4 @@ def count_invoke_targets(dex: DexFile) -> Counter:
     append = hits.append
     for code_off in code_offs:
         _walk_into(blob, code_off, append)
-    return _count_resolved(dex, ((packed >> 8, n) for packed, n in Counter(hits).items()))
+    return _count_resolved(dex, Counter(packed >> 8 for packed in hits).items())

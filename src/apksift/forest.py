@@ -2,11 +2,12 @@
 
 Hand-rolled on purpose: split selection, the entropy/information-gain
 machinery and the feature ranking all share one scalar gain definition, so
-tree induction, Eq-style feature ranking and the brute-force test oracles
-agree bit-for-bit. Training is fully deterministic given (data, hyperparams,
-seed): tree t draws its bootstrap resample and all of its per-node feature
-subsets from a stream seeded by (seed, t), so adding trees never perturbs
-earlier ones.
+tree induction, Eq-style feature ranking and the test oracles of acceptance
+criterion 4 (``entropy``, ``information_gain`` and ``best_split``, which no
+command calls) agree bit-for-bit. Training is fully deterministic given
+(data, hyperparams, seed): tree t draws its bootstrap resample and all of its
+per-node feature subsets from a stream seeded by (seed, t), so adding trees
+never perturbs earlier ones.
 
 Growth follows Breiman's random forest and is not configurable: every tree
 is grown unpruned until each leaf is pure or no candidate split has positive

@@ -25,6 +25,7 @@ import hashlib
 import logging
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .errors import GranularityMismatch, InvalidProjection, MalformedKey
@@ -82,7 +83,7 @@ class ApiReferenceList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    @property
+    @cached_property
     def fingerprint(self) -> str:
         h = hashlib.sha256()
         h.update(self.granularity.value.encode())

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import io
 import struct
+import tracemalloc
 import zipfile
 
 import pytest
@@ -101,6 +102,29 @@ def with_overlong_type_name(blob: bytes) -> bytes:
     start = blob.index(f"L{NON_ASCII_CLASS};".encode() + b"\x00")
     at = blob.index("\u00dc".encode(), start)
     return blob[:at] + b"\xc1\x81" + blob[at + 2 :]
+
+
+TYPE_LIST_FAULTS = ["parameters_off", "type_list-size", "type_list-index"]
+
+
+def with_bad_type_list(blob: bytes, kind: str) -> tuple[bytes, str]:
+    """``blob`` (a locker snippet dex, whose one proto with parameters is
+    resetPassword's) with that proto's parameters damaged in the named way,
+    and the message extract_invokes raises for it."""
+    dex = parse_dex(blob)
+    proto, params_off = next((i, p) for i, (_, p) in enumerate(dex.proto_table) if p)
+    n_types = len(dex.type_names)
+    fmt, off, value, message = {  # as in test_dex's _STRUCTURAL_CASES
+        "parameters_off": (
+            "<I", struct.unpack_from("<I", blob, 76)[0] + 12 * proto + 8, len(blob) - 2,
+            f"parameters_off {len(blob) - 2} out of bounds",
+        ),
+        "type_list-size": ("<I", params_off, len(blob), f"type_list at {params_off} out of bounds"),
+        "type_list-index": ("<H", params_off + 4, n_types, f"type_list index {n_types} out of range"),
+    }[kind]
+    patched = bytearray(blob)
+    struct.pack_into(fmt, patched, off, value)
+    return bytes(patched), message
 
 
 @pytest.fixture
@@ -251,6 +275,18 @@ def chain_model_doc(depth: int, side: str, fingerprint: str = "chainfp") -> dict
                         "features_per_split": None, "seed": 0},
         "trees": [nodes],
     }
+
+
+# -- memory ------------------------------------------------------------------
+
+
+def tracemalloc_peak(fn):
+    """``fn()`` and the peak number of bytes that Python held while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # -- apks that zipfile cannot read ---------------------------------------------

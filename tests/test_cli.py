@@ -6,6 +6,7 @@ import json
 import logging
 import struct
 import sys
+import zlib
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -14,15 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apksift.cli import main
-from apksift.dex import parse_dex
+from apksift.dex import _string, parse_dex
 from apksift.features import extract_features
 from apksift.forest import Hyperparams, Label, LabeledDataset, LabeledSample, save_model, train_forest
+from apksift.invokes import InvokeKind
 from apksift.reference import Granularity, save_reference
 from apksift.synth import (
     EXPERIMENT_VOCAB,
+    DexBuilder,
+    MethodDef,
     dex_from_invokes,
     generate_corpus,
     generate_temporal_corpus,
+    ins_invoke,
+    ins_return_void,
     random_dex,
     reference_from_vocab,
     write_apk,
@@ -31,11 +37,15 @@ from apksift.synth import (
 
 from conftest import (
     CORRUPT_ZIPS,
+    TYPE_LIST_FAULTS,
+    build_single_method_dex,
     chain_model_doc,
     corrupt_apk_bytes,
     locker_body,
     mixed_caller_dex,
     non_ascii_dex,
+    tracemalloc_peak,
+    with_bad_type_list,
     with_overlong_type_name,
     write_mixed_caller_apks,
 )
@@ -162,6 +172,87 @@ def test_scan_overlong_type_name_exit_3(workspace, tmp_path, capsys):
     assert rc == 3
     assert captured.out == ""
     assert captured.err.startswith("error: InvalidSequence: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("version", [b"+35", b" 35", b"35 ", b"\t35", b"3_5"])
+def test_scan_version_not_three_digits_exit_3(workspace, tmp_path, capsys, version):
+    blob = bytearray(random_dex(1)[0])
+    blob[4:7] = version
+    bad = tmp_path / "bad.apk"
+    write_apk(bad, [bytes(blob)])
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(["scan", str(bad), "--model", str(workspace["model"]), "--reference", str(ref_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == f"error: BadMagic: magic {bytes(blob[:8])!r}\n"
+
+
+@pytest.mark.parametrize("kind", TYPE_LIST_FAULTS)
+def test_scan_classifies_a_dex_with_a_bad_type_list(workspace, tmp_path, capsys, kind):
+    # the locker apk's dex, damaged where only a descriptor would read it
+    blob, _ = build_single_method_dex(locker_body() * 3, class_path="com/fixture/Locker")
+    bad = tmp_path / "bad.apk"
+    write_apk(bad, [with_bad_type_list(blob, kind)[0]])
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(["scan", str(bad), "--model", str(workspace["model"]), "--reference", str(ref_path)])
+    assert rc == 11
+    assert "error:" not in capsys.readouterr().err
+
+
+# -- shared strings: many ids naming one long string ---------------------------
+
+_API = "android/app/admin/DevicePolicyManager"
+
+
+def _dex_of(body, filler=(), descriptor="()V"):
+    builder = DexBuilder()
+    builder.add_filler_strings(filler)
+    builder.add_class("com/app/Main", [MethodDef("run", descriptor, body + [ins_return_void()])])
+    return builder.build()
+
+
+def _sharing(blob, strings, target):
+    """``blob`` with the string ids of ``strings`` pointed at the data of
+    ``target``, its checksum made good again."""
+    offsets = parse_dex(blob).string_offsets
+    index = {_string(blob, off): i for i, off in enumerate(offsets)}
+    ids_off = struct.unpack_from("<I", blob, 60)[0]
+    patched = bytearray(blob)
+    for s in strings:
+        struct.pack_into("<I", patched, ids_off + 4 * index[s], offsets[index[target]])
+    struct.pack_into("<I", patched, 8, zlib.adler32(patched[12:]))
+    return bytes(patched)
+
+
+def _shared_string_dex(kind):
+    if kind == "type-names":  # 4,000 parameter types named by one 40,000-character string
+        params = [f"Lp/C{i};" for i in range(4000)]
+        name = "Lp/" + "x" * 39_996 + ";"
+        return _sharing(_dex_of([], [name], "(" + "".join(params) + ")V"), params, name)
+    if kind == "method-names":  # 300 invoked methods named by one 500,000-character string
+        names = [f"m{i}" for i in range(300)]
+        name = "n" * 500_000
+        body = [ins_invoke(InvokeKind.Static, _API, n, "()V") for n in names]
+        return _sharing(_dex_of(body, [name]), names, name)
+    # 10 invoked methods, each taking 250 parameters of one 60,000-character class
+    descriptor = "(" + ("Lp/" + "X" * 59_995 + ";") * 250 + ")V"
+    return _dex_of([ins_invoke(InvokeKind.Static, _API, f"m{i}", descriptor) for i in range(10)])
+
+
+@pytest.mark.parametrize(
+    "kind, strict",
+    [("type-names", False), ("method-names", False), ("method-names", True), ("descriptors", False)],
+)
+def test_scan_memory_in_proportion_to_the_dex(workspace, tmp_path, capsys, kind, strict):
+    blob = _shared_string_dex(kind)
+    apk = tmp_path / "shared.apk"
+    write_apk(apk, [blob])
+    _, ref_path = workspace["refs"][Granularity.Package]
+    argv = ["scan", str(apk), "--model", str(workspace["model"]), "--reference", str(ref_path)]
+    rc, peak = tracemalloc_peak(lambda: main(argv + ["--strict-dex"] * strict))
+    assert rc in (0, 10, 11)
+    assert "error:" not in capsys.readouterr().err
+    assert peak <= 8 * len(blob), f"{peak:,} bytes for a {len(blob):,}-byte dex"
 
 
 def test_scan_missing_file_exit_3(workspace, tmp_path, capsys):

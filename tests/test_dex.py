@@ -35,7 +35,7 @@ from apksift.errors import (
     TruncatedEncoding,
     UnsupportedVersion,
 )
-from apksift.invokes import KIND_BY_OPCODE, InvokeKind
+from apksift.invokes import KIND_BY_OPCODE, InvokeKind, MethodRef
 from apksift.synth import (
     DexBuilder,
     MethodDef,
@@ -52,8 +52,10 @@ from apksift.synth import (
 
 from conftest import (
     NON_ASCII_CLASS,
+    TYPE_LIST_FAULTS,
     build_single_method_dex,
     non_ascii_dex,
+    with_bad_type_list,
     with_overlong_type_name,
 )
 
@@ -283,6 +285,14 @@ def test_bad_magic():
         parse_dex(bytes(blob))
 
 
+@pytest.mark.parametrize("version", [b"+35", b" 35", b"35 ", b"\t35", b"3_5"])
+def test_bad_magic_version_not_three_digits(version):
+    blob = bytearray(random_dex(1)[0])
+    blob[4:7] = version
+    with pytest.raises(BadMagic):
+        parse_dex(bytes(blob))
+
+
 def test_bad_magic_short_blob():
     with pytest.raises(BadMagic):
         parse_dex(b"foo!bar\x00more")
@@ -382,6 +392,12 @@ def test_structural_error_messages(locker_dex, case):
 
 
 # -- invoke extraction -----------------------------------------------------------
+
+
+def _undescribed(sites):
+    """Counts per target of ``sites`` with descriptors stripped, as
+    count_invoke_targets gives them."""
+    return Counter(MethodRef(s.target.class_path, s.target.name, "") for s in sites)
 
 
 def test_locker_snippet_invokes(locker_dex):
@@ -494,7 +510,7 @@ def test_non_ascii_names_parse_and_resolve():
     assert sites == expected
     assert {s.caller_class for s in sites} == {NON_ASCII_CLASS}
     assert [s.target.name for s in sites] == ["\u65b9\u6cd5\U0001f600", "lock\U0001f512", "lockNow"]
-    assert count_invoke_targets(dex) == Counter(s.target for s in expected)
+    assert count_invoke_targets(dex) == _undescribed(expected)
 
 
 def test_overlong_type_name_raises():
@@ -510,10 +526,22 @@ def test_extraction_is_pure(crypto_dex):
     assert first == second
 
 
+@pytest.mark.parametrize("kind", TYPE_LIST_FAULTS)
+def test_type_list_fault_raises_in_extract_only(locker_dex, kind):
+    # counting never reads a descriptor, so it counts the damaged dex as is
+    blob, expected = locker_dex
+    patched, message = with_bad_type_list(blob, kind)
+    dex = parse_dex(patched)
+    with pytest.raises(StructuralError) as info:
+        extract_invokes(dex)
+    assert str(info.value) == message
+    assert count_invoke_targets(dex) == _undescribed(expected)
+
+
 def test_count_matches_extract(crypto_dex):
     blob, _ = crypto_dex
     dex = parse_dex(blob)
-    assert count_invoke_targets(dex) == Counter(s.target for s in extract_invokes(dex))
+    assert count_invoke_targets(dex) == _undescribed(extract_invokes(dex))
 
 
 # -- generator-backed oracle -----------------------------------------------------
@@ -525,7 +553,7 @@ def test_oracle_random_fixture(seed):
     blob, expected = random_dex(seed)
     dex = parse_dex(blob, strict=True)
     assert Counter(extract_invokes(dex)) == Counter(expected)
-    assert count_invoke_targets(dex) == Counter(s.target for s in expected)
+    assert count_invoke_targets(dex) == _undescribed(expected)
 
 
 def test_oracle_suite_hundred_files():
@@ -615,9 +643,9 @@ def _scalar_hits(dex):
 
 
 def _scalar_counts(dex):
-    cache, names, counts = {}, {}, Counter()
+    counts = Counter()
     for packed, n in Counter(_scalar_hits(dex)).items():
-        ref = _resolve_method(dex, packed >> 8, cache, names)
+        ref = _resolve_method(dex, packed >> 8)
         if ref is not None:
             counts[ref] += n
     return counts
