@@ -2,16 +2,18 @@
 
 The parser reads the type, proto, method and class pools into tables and
 decodes each pool string at most once per dex, into a pool keyed by data
-offset: type names up front, any other string (a method name) when a call
-target is resolved. It locates every method body through the class_data items
-and walks each instruction stream with the fixed opcode-size table. Each
-invoke-type instruction gives one packed hit, ``method_idx << 8 | opcode``:
-commands count the hits per method index and resolve each index to a target
-without a descriptor (``count_invoke_targets``), while ``extract_invokes``, the
-test oracle of acceptance criterion 2 and of the obfuscation count form,
-resolves each hit into an InvokeSite with its descriptor. Nothing is executed
-or verified beyond structural sanity; debug info, annotations and try/catch
-tables are skipped.
+offset: type names up front, any other string (a method name) when it is
+asked for. String data items do not overlap, so the pool raises
+StructuralError once its strings hold more characters than the blob has
+bytes. It locates every method body through the class_data items and walks
+each instruction stream with the fixed opcode-size table. Each invoke-type
+instruction gives one packed hit, ``method_idx << 8 | opcode``: commands
+count the hits per method index and resolve nothing (``count_invoke_targets``;
+``features`` names each index), while ``extract_invokes``, the test oracle of
+acceptance criterion 2 and of the obfuscation count form, resolves each hit
+into an InvokeSite with its descriptor. Nothing is executed or verified
+beyond structural sanity; debug info, annotations and try/catch tables are
+skipped.
 
 ``count_invoke_targets`` walks a dex with ``BATCH_MIN_ITEMS`` code items or
 more in lock-step: each numpy step decodes the next instruction of every
@@ -38,7 +40,6 @@ import numpy as np
 
 from .dalvik import OPCODE_BYTES, payload_units
 from .errors import (
-    ApksiftError,
     BadMagic,
     ChecksumMismatch,
     InvalidSequence,
@@ -60,6 +61,8 @@ _HEADER_TAIL = struct.Struct("<20I")  # 20 u32 fields from offset 32
 # finishes them one by one. Per dex, lock-step breaks even with the scalar
 # walk at about 200-250 code items.
 BATCH_MIN_ITEMS = 256
+
+_METHOD_ID = np.dtype([("class_idx", "<u2"), ("proto_idx", "<u2"), ("name_idx", "<u4")])
 
 _STEP_BYTES = np.frombuffer(OPCODE_BYTES, np.uint8).astype(np.int64)
 _IS_INVOKE = np.zeros(256, bool)
@@ -123,6 +126,30 @@ def _string(blob: bytes, off: int) -> str:
     return decode_mutf8(blob, pos)
 
 
+class _StringPool(dict):
+    """Strings of one blob decoded so far, by data offset. String data items
+    do not overlap in a valid dex, so distinct offsets decode to at most
+    len(blob) characters in all; ids aimed inside one long string raise
+    StructuralError past that budget instead of decoding suffix after suffix."""
+
+    def __init__(self, blob: bytes):
+        super().__init__()
+        self.blob = blob
+        self.left = len(blob)  # characters the pool may still decode
+
+    def __missing__(self, off: int) -> str:
+        text = self[off] = self.decode(off)
+        return text
+
+    def decode(self, off: int) -> str:
+        """The string at ``off``, counted against the budget but not kept."""
+        text = _string(self.blob, off)
+        self.left -= len(text)
+        if self.left < 0:
+            raise StructuralError(f"string data at {off} overlaps other strings")
+        return text
+
+
 @dataclass(frozen=True)
 class ClassItem:
     """One defined class: its type index and the code offsets of its methods."""
@@ -133,32 +160,29 @@ class ClassItem:
 
 @dataclass
 class DexFile:
-    """Parsed DEX container; after parse only the string pool grows, as names resolve."""
+    """Parsed DEX container; after parse only the string pool grows, as names are asked for."""
 
-    string_offsets: tuple[int, ...]  # string_data_off of each string id
+    string_offsets: np.ndarray = field(compare=False)  # u32 string_data_off per string id
     type_names: tuple[str, ...]
     proto_table: tuple[tuple[int, int], ...]  # (return_type_idx, parameters_off)
-    method_table: tuple[tuple[int, int, int], ...]  # (class_type_idx, name_str_idx, proto_idx)
+    method_ids: np.ndarray = field(compare=False)  # _METHOD_ID rows (class, proto, name idx)
     class_items: tuple[ClassItem, ...]
     blob: bytes = field(repr=False)
-    pool: dict[int, str] = field(repr=False, compare=False)  # decoded string by data offset
+    pool: _StringPool = field(repr=False, compare=False)
 
     def caller_of(self, item: ClassItem) -> str:  # "" if its type names no class, as [I
         return class_path_of(self.type_names[item.class_type_index]) or ""
 
     def string(self, idx: int) -> str:  # string id idx, decoded once per data offset
-        off = self.string_offsets[idx]
-        if off not in self.pool:
-            self.pool[off] = _string(self.blob, off)
-        return self.pool[off]
+        return self.pool[self.string_offsets.item(idx)]
 
 
 def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     """Parse a DEX blob into its id pools and per-class code offsets.
 
     Raises BadMagic / UnsupportedVersion / StructuralError; with
-    ``strict=True`` also ChecksumMismatch and InvalidSequence for any
-    undecodable pool string.
+    ``strict=True`` also ChecksumMismatch, InvalidSequence for any
+    undecodable pool string and StructuralError for overlapping ones.
     """
     if len(blob) < 8 or blob[0:4] != b"dex\n" or not blob[4:7].isdigit() or blob[7] != 0:
         raise BadMagic(f"magic {blob[0:8]!r}")
@@ -204,51 +228,45 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
         if declared != actual:
             raise ChecksumMismatch(f"header 0x{declared:08x} != computed 0x{actual:08x}")
 
-    def table(off: int, count: int, item_size: int, what: str) -> None:
+    def table(off: int, count: int, item_size: int, what: str) -> memoryview:
         if count and (off < HEADER_SIZE or off + count * item_size > len(blob)):
             raise StructuralError(f"{what} table out of bounds (off={off}, count={count})")
+        return memoryview(blob)[off : off + count * item_size]  # a view: no copy
 
-    table(string_ids_off, string_ids_size, 4, "string_ids")
-    table(type_ids_off, type_ids_size, 4, "type_ids")
-    table(proto_ids_off, proto_ids_size, 12, "proto_ids")
-    table(method_ids_off, method_ids_size, 8, "method_ids")
-    table(class_defs_off, class_defs_size, 32, "class_defs")
+    string_offsets = np.frombuffer(table(string_ids_off, string_ids_size, 4, "string_ids"), "<u4")
+    type_string_idx = np.frombuffer(table(type_ids_off, type_ids_size, 4, "type_ids"), "<u4")
+    proto_ids = table(proto_ids_off, proto_ids_size, 12, "proto_ids")
+    method_ids = np.frombuffer(table(method_ids_off, method_ids_size, 8, "method_ids"), _METHOD_ID)
+    class_defs = table(class_defs_off, class_defs_size, 32, "class_defs")
 
-    string_offsets = struct.unpack_from(f"<{string_ids_size}I", blob, string_ids_off)
-    if max(string_offsets, default=-1) >= len(blob):
-        off = next(off for off in string_offsets if off >= len(blob))
-        raise StructuralError(f"string_data_off {off} out of bounds")
+    # each error below names the first bad entry: argmax finds the first True
+    bad = string_offsets >= len(blob)
+    if bad.any():
+        raise StructuralError(f"string_data_off {string_offsets[bad.argmax()]} out of bounds")
 
-    type_string_idx = struct.unpack_from(f"<{type_ids_size}I", blob, type_ids_off)
-    if max(type_string_idx, default=-1) >= string_ids_size:
-        idx = next(idx for idx in type_string_idx if idx >= string_ids_size)
-        raise StructuralError(f"type_id string index {idx} out of range")
-    type_offsets = [string_offsets[i] for i in type_string_idx]
-    pool = {off: _string(blob, off) for off in dict.fromkeys(type_offsets)}
-    type_names = tuple(map(pool.__getitem__, type_offsets))
+    bad = type_string_idx >= string_ids_size
+    if bad.any():
+        raise StructuralError(f"type_id string index {type_string_idx[bad.argmax()]} out of range")
+    pool = _StringPool(blob)
+    type_names = tuple(map(pool.__getitem__, string_offsets[type_string_idx].tolist()))
 
     proto_table = []
-    for _shorty, ret_idx, params_off in struct.iter_unpack(
-        "<III", blob[proto_ids_off : proto_ids_off + proto_ids_size * 12]
-    ):
+    for _shorty, ret_idx, params_off in struct.iter_unpack("<III", proto_ids):
         if ret_idx >= type_ids_size:
             raise StructuralError(f"proto return type {ret_idx} out of range")
         proto_table.append((ret_idx, params_off))
 
-    method_table = []
-    for class_idx, proto_idx, name_idx in struct.iter_unpack(
-        "<HHI", blob[method_ids_off : method_ids_off + method_ids_size * 8]
-    ):
-        if class_idx >= type_ids_size or proto_idx >= proto_ids_size or name_idx >= string_ids_size:
-            raise StructuralError(
-                f"method_id ({class_idx},{proto_idx},{name_idx}) out of range"
-            )
-        method_table.append((class_idx, name_idx, proto_idx))
+    bad = (
+        (method_ids["class_idx"] >= type_ids_size)
+        | (method_ids["proto_idx"] >= proto_ids_size)
+        | (method_ids["name_idx"] >= string_ids_size)
+    )
+    if bad.any():
+        class_idx, proto_idx, name_idx = method_ids.item(bad.argmax())
+        raise StructuralError(f"method_id ({class_idx},{proto_idx},{name_idx}) out of range")
 
     class_items = []
-    for record in struct.iter_unpack(
-        "<8I", blob[class_defs_off : class_defs_off + class_defs_size * 32]
-    ):
+    for record in struct.iter_unpack("<8I", class_defs):
         class_idx, class_data_off = record[0], record[6]
         if class_idx >= type_ids_size:
             raise StructuralError(f"class_def type index {class_idx} out of range")
@@ -260,15 +278,15 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
         code_offs = _read_class_data(blob, class_data_off, method_ids_size)
         class_items.append(ClassItem(class_idx, code_offs))
 
-    if strict:
-        for off in dict.fromkeys(string_offsets):
-            if off not in pool:
-                _string(blob, off)
+    if strict:  # every string decodes, within a budget of its own; none is kept
+        check = _StringPool(blob)
+        for off in dict.fromkeys(string_offsets.tolist()):
+            check.decode(off)
     return DexFile(
         string_offsets=string_offsets,
         type_names=type_names,
         proto_table=tuple(proto_table),
-        method_table=tuple(method_table),
+        method_ids=method_ids,
         class_items=tuple(class_items),
         blob=blob,
         pool=pool,
@@ -443,7 +461,7 @@ def _walk_batched(blob: bytes, code_offs: list[int]) -> np.ndarray:
 
 
 def _method_descriptor(dex: DexFile, method_idx: int) -> str:
-    ret_idx, params_off = dex.proto_table[dex.method_table[method_idx][2]]
+    ret_idx, params_off = dex.proto_table[dex.method_ids.item(method_idx)[1]]
     params = ""
     if params_off:
         if params_off + 4 > len(dex.blob):
@@ -460,25 +478,15 @@ def _method_descriptor(dex: DexFile, method_idx: int) -> str:
 
 
 def _resolve_method(dex: DexFile, method_idx: int) -> MethodRef | None:
-    """Resolve a method_ids index to a descriptor-free MethodRef; None for
+    """Resolve a method_ids index to a MethodRef with its descriptor; None for
     primitive receivers."""
-    if method_idx >= len(dex.method_table):
+    if method_idx >= len(dex.method_ids):
         raise StructuralError(f"invoke method index {method_idx} out of range")
-    class_idx, name_idx, _ = dex.method_table[method_idx]
+    class_idx, _, name_idx = dex.method_ids.item(method_idx)
     class_path = class_path_of(dex.type_names[class_idx])
     if class_path is None:
         return None
-    return MethodRef(class_path, dex.string(name_idx), "")
-
-
-def _count_resolved(dex: DexFile, pairs) -> Counter:
-    """Sum ``(method_idx, n)`` pairs, one per index, into counts per MethodRef."""
-    counts: Counter = Counter()
-    for method_idx, n in pairs:
-        ref = _resolve_method(dex, method_idx)
-        if ref is not None:
-            counts[ref] += n
-    return counts
+    return MethodRef(class_path, dex.string(name_idx), _method_descriptor(dex, method_idx))
 
 
 def extract_invokes(dex: DexFile) -> list[InvokeSite]:
@@ -497,34 +505,35 @@ def extract_invokes(dex: DexFile) -> list[InvokeSite]:
             for packed in hits:
                 ref = _resolve_method(dex, packed >> 8)
                 if ref is not None:
-                    ref = MethodRef(ref.class_path, ref.name, _method_descriptor(dex, packed >> 8))
                     sites.append(InvokeSite(KIND_BY_OPCODE[packed & 0xFF], caller, ref))
     return sites
 
 
 def count_invoke_targets(dex: DexFile) -> Counter:
-    """Occurrence count per resolved MethodRef, descriptor "", across the file.
-
-    Equivalent to extract_invokes(dex) counted by target with descriptors
-    stripped, but never builds a per-site object or a descriptor; this is the
-    throughput path.
-    """
+    """Invoke sites per method index across the file, resolving nothing: the
+    throughput path. Named as ``features`` names them, the indices give
+    extract_invokes(dex) counted by target without descriptors, plus the
+    primitive receivers it drops. An index past method_ids raises
+    StructuralError, the first in walk order."""
     blob = dex.blob
     code_offs = [off for item in dex.class_items for off in item.code_offsets]
     if len(code_offs) >= BATCH_MIN_ITEMS:
         try:
-            packed_hits = _walk_batched(blob, code_offs)
             # method indices are u16: one bincount, no sort
-            sites = np.bincount(packed_hits >> 8)
-            targets = np.flatnonzero(sites)
-            return _count_resolved(dex, zip(targets.tolist(), sites[targets].tolist()))
-        except ApksiftError:
-            # a walk fault, or a target that fails to resolve: the scalar
-            # path below resolves in first-occurrence order, not index order,
-            # and raises the first error in that order
+            sites = np.bincount(_walk_batched(blob, code_offs) >> 8)
+            if len(sites) <= len(dex.method_ids):
+                targets = np.flatnonzero(sites)
+                return Counter(dict(zip(targets.tolist(), sites[targets].tolist())))
+        except StructuralError:
             pass
+        # a walk fault or an index out of range: the scalar walk below
+        # raises the first error in walk order
     hits: list[int] = []
     append = hits.append
     for code_off in code_offs:
         _walk_into(blob, code_off, append)
-    return _count_resolved(dex, Counter(packed >> 8 for packed in hits).items())
+    counts = Counter(packed >> 8 for packed in hits)  # in first-occurrence order
+    for method_idx in counts:
+        if method_idx >= len(dex.method_ids):
+            raise StructuralError(f"invoke method index {method_idx} out of range")
+    return counts

@@ -4,6 +4,11 @@ Every invocation whose target key (at the list's granularity) appears in the
 reference list bumps that feature by one; everything else is ignored. Counts
 are raw occurrences, saturated at 2**31 - 1 so degenerate inputs cannot
 overflow downstream consumers.
+
+A dex is counted per method index (``count_invoke_targets``), and each index
+goes into the vector as its feature key: ``key_of`` of its class path and
+name. The keys are streamed and none is kept, so memory does not grow with
+the number of methods invoked on one long class path.
 """
 
 from __future__ import annotations
@@ -11,13 +16,13 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .apk import open_apk
-from .dex import count_invoke_targets, parse_dex
-from .invokes import InvokeSite, load_invoke_list_text
+from .dex import DexFile, count_invoke_targets, parse_dex
+from .invokes import InvokeSite, class_path_of, load_invoke_list_text
 from .obfuscation import ObfuscationKind, ObfuscationTransform, is_user_implemented
-from .reference import ApiReferenceList, key_of
+from .reference import ApiReferenceList, Granularity, key_of
 
 COUNT_CEILING = 2**31 - 1
 
@@ -37,30 +42,38 @@ class FeatureVector:
         return sum(self.counts)
 
 
-def _vector_from_counter(target_counts: Counter, ref: ApiReferenceList) -> FeatureVector:
-    """Project occurrence counts per MethodRef onto the reference list."""
-    g = ref.granularity
+def _add(counts: list[int], keyed: Iterable[tuple[str | None, int]], ref: ApiReferenceList) -> None:
+    """Add each (feature key, n) pair into ``counts``, a vector over ``ref``;
+    keys outside the list, and None, are ignored."""
     index_of = ref.index_of
-    counts = [0] * len(ref.entries)
-    for target, n in target_counts.items():
-        idx = index_of.get(key_of(target, g))
+    for key, n in keyed:
+        idx = index_of.get(key)
         if idx is not None:
             counts[idx] = min(counts[idx] + n, COUNT_CEILING)
-    return FeatureVector(tuple(counts), ref.fingerprint)
+
+
+def _dex_keys(dex: DexFile, g: Granularity) -> Iterator[tuple[str | None, int]]:
+    """(feature key, sites) per method index ``dex`` invokes; every name is decoded."""
+    for method_idx, n in count_invoke_targets(dex).items():
+        class_idx, _, name_idx = dex.method_ids.item(method_idx)
+        yield key_of(class_path_of(dex.type_names[class_idx]), dex.string(name_idx), g), n
 
 
 def extract_features(invokes: Iterable[InvokeSite], ref: ApiReferenceList) -> FeatureVector:
     """Count invoke targets against the reference list (zero vector if empty)."""
-    return _vector_from_counter(Counter(site.target for site in invokes), ref)
+    counts = [0] * len(ref)
+    targets = Counter((s.target.class_path, s.target.name) for s in invokes)
+    _add(counts, ((key_of(*t, ref.granularity), n) for t, n in targets.items()), ref)
+    return FeatureVector(tuple(counts), ref.fingerprint)
 
 
 def features_from_dex_blobs(
     blobs: Sequence[bytes], ref: ApiReferenceList, strict: bool = False
 ) -> FeatureVector:
-    target_counts: Counter = Counter()
-    for blob in blobs:
-        target_counts.update(count_invoke_targets(parse_dex(blob, strict=strict)))
-    return _vector_from_counter(target_counts, ref)
+    counts = [0] * len(ref)
+    for blob in blobs:  # each dex is released before the next one parses
+        _add(counts, _dex_keys(parse_dex(blob, strict=strict), ref.granularity), ref)
+    return FeatureVector(tuple(counts), ref.fingerprint)
 
 
 INVOKE_LIST_SUFFIXES = (".txt", ".invokes", ".list")
@@ -90,13 +103,15 @@ def caller_split(path, ref: ApiReferenceList) -> tuple[FeatureVector, FeatureVec
     if is_invoke_list_path(path):
         sites = load_invoke_list_text(path)
         return extract_features(sites, ref), platform_features(sites, ref)
-    every, platform = Counter(), Counter()
+    g, every, platform = ref.granularity, [0] * len(ref), [0] * len(ref)
     for blob in open_apk(path).dex_blobs:
         dex = parse_dex(blob)
-        every.update(count_invoke_targets(dex))
+        _add(every, _dex_keys(dex, g), ref)
         kept = tuple(c for c in dex.class_items if not is_user_implemented(dex.caller_of(c)))
-        platform.update(count_invoke_targets(replace(dex, class_items=kept)))
-    return _vector_from_counter(every, ref), _vector_from_counter(platform, ref)
+        _add(platform, _dex_keys(replace(dex, class_items=kept), g), ref)
+        del dex  # released before the next dex parses
+    fingerprint = ref.fingerprint
+    return FeatureVector(tuple(every), fingerprint), FeatureVector(tuple(platform), fingerprint)
 
 
 def obfuscated_vector(

@@ -11,7 +11,7 @@ caller) and the target in smali convention
 ``L<class>;-><name>(<params>)<ret>``. ``#`` comments and blank lines are
 ignored.
 
-How a target is named has one owner: ``class_path_of`` and ``MethodRef.package``.
+How a type descriptor names a class has one owner: ``class_path_of``.
 """
 
 from __future__ import annotations
@@ -70,11 +70,6 @@ class MethodRef:
     class_path: str
     name: str
     descriptor: str
-
-    @property
-    def package(self) -> str:
-        """``class_path`` minus its final segment; empty for the default package."""
-        return self.class_path.rpartition("/")[0]
 
     def signature(self) -> str:
         return f"L{self.class_path};->{self.name}{self.descriptor}"

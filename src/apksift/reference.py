@@ -15,7 +15,8 @@ File format: UTF-8 text, one key per line, ``#`` comments and blanks
 ignored, with header comments ``# granularity: package|class|method`` and
 optionally ``# api-level: <int>``.
 
-The key grammar has one owner: ``key_of`` builds keys, ``target_of_key`` parses them.
+The key grammar has one owner: ``key_of`` builds keys from a class path and a
+method name, package rule included, and ``target_of_key`` takes them apart.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from functools import cached_property
 from typing import Iterable
 
 from .errors import GranularityMismatch, InvalidProjection, MalformedKey
-from .invokes import MethodRef
 
 logger = logging.getLogger(__name__)
 
@@ -182,21 +182,22 @@ def save_reference(ref: ApiReferenceList, path) -> None:
             fh.write(entry + "\n")
 
 
-def key_of(target: MethodRef, g: Granularity) -> str | None:
-    """Canonical feature key of an invocation target, or None if keyless."""
-    if not target.class_path:
+def key_of(class_path: str | None, name: str, g: Granularity) -> str | None:
+    """Feature key of a call to method ``name`` of ``class_path``; None without a
+    class path. A package is the class path minus its final segment."""
+    if not class_path:
         return None
     if g is Granularity.Package:
-        return target.package
+        return class_path.rpartition("/")[0]
     if g is Granularity.Class:
-        return target.class_path
-    return f"{target.class_path};->{target.name}"
+        return class_path
+    return f"{class_path};->{name}"
 
 
-def target_of_key(key: str) -> MethodRef:
-    """Inverse of ``key_of`` for a class or method key; no key has a descriptor."""
+def target_of_key(key: str) -> tuple[str, str]:
+    """Inverse of ``key_of`` for a class or method key: (class_path, name)."""
     class_path, _, name = key.partition(";->")
-    return MethodRef(class_path, name, "")
+    return class_path, name
 
 
 def project(ref: ApiReferenceList, to: Granularity) -> ApiReferenceList:
@@ -205,5 +206,5 @@ def project(ref: ApiReferenceList, to: Granularity) -> ApiReferenceList:
         raise InvalidProjection(
             f"{ref.granularity.value} -> {to.value} is not a coarsening"
         )
-    keys = {key_of(target_of_key(k), to) for k in ref.entries}
+    keys = {key_of(*target_of_key(k), to) for k in ref.entries}
     return make_reference(to, sorted(keys), api_level=ref.api_level)

@@ -21,7 +21,7 @@ import csv
 import random
 import struct
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date, timedelta
 from hashlib import sha1
 from pathlib import Path
@@ -41,7 +41,7 @@ from .invokes import (
     class_path_of,
     dump_invoke_list_text,
 )
-from .reference import ApiReferenceList, Granularity, make_reference, project, target_of_key
+from .reference import ApiReferenceList, Granularity, key_of, make_reference, project, target_of_key
 
 # ---------------------------------------------------------------------------
 # descriptor helpers
@@ -731,7 +731,7 @@ def invokes_from_counts(
     sites: list[InvokeSite] = []
     kinds = (InvokeKind.Virtual, InvokeKind.Virtual, InvokeKind.Static, InvokeKind.Direct)
     for key in sorted(counts):
-        ref = replace(target_of_key(key), descriptor="()V")
+        ref = MethodRef(*target_of_key(key), "()V")
         for _ in range(counts[key]):
             sites.append(InvokeSite(kinds[int(rng.integers(len(kinds)))], caller, ref))
     perm = rng.permutation(len(sites))
@@ -773,12 +773,15 @@ def redistribute_within_packages(
     at package granularity. ``receivers`` are the sibling methods that may
     gain the moved counts.
     """
+    def package(key: str) -> str:
+        return key_of(*target_of_key(key), Granularity.Package)
+
     by_package: dict[str, list[str]] = {}
     for key in sorted(set(receivers)):
-        by_package.setdefault(target_of_key(key).package, []).append(key)
+        by_package.setdefault(package(key), []).append(key)
     out = dict(counts)
     for key in sorted(counts):
-        siblings = [k for k in by_package.get(target_of_key(key).package, []) if k != key]
+        siblings = [k for k in by_package.get(package(key), []) if k != key]
         if not siblings:
             continue
         moved = int(rng.binomial(counts[key], rho))

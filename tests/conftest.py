@@ -104,6 +104,13 @@ def with_overlong_type_name(blob: bytes) -> bytes:
     return blob[:at] + b"\xc1\x81" + blob[at + 2 :]
 
 
+def with_overlong_method_name(blob: bytes) -> bytes:
+    """``blob`` with the "ck" of the invoked method name "lock\U0001f512"
+    replaced by C1 A3, an overlong "c", so that only that name stops decoding."""
+    at = blob.index(b"lock\xed")  # \xed leads the MUTF-8 surrogate pair of U+1F512
+    return blob[: at + 2] + b"\xc1\xa3" + blob[at + 4 :]
+
+
 TYPE_LIST_FAULTS = ["parameters_off", "type_list-size", "type_list-index"]
 
 

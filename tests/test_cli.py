@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import logging
+import re
 import struct
 import sys
 import zlib
@@ -16,10 +17,10 @@ from hypothesis import strategies as st
 
 from apksift.cli import main
 from apksift.dex import _string, parse_dex
-from apksift.features import extract_features
+from apksift.features import extract_features, features_from_dex_blobs
 from apksift.forest import Hyperparams, Label, LabeledDataset, LabeledSample, save_model, train_forest
 from apksift.invokes import InvokeKind
-from apksift.reference import Granularity, save_reference
+from apksift.reference import Granularity, key_of, make_reference, save_reference
 from apksift.synth import (
     EXPERIMENT_VOCAB,
     DexBuilder,
@@ -46,6 +47,7 @@ from conftest import (
     non_ascii_dex,
     tracemalloc_peak,
     with_bad_type_list,
+    with_overlong_method_name,
     with_overlong_type_name,
     write_mixed_caller_apks,
 )
@@ -174,6 +176,19 @@ def test_scan_overlong_type_name_exit_3(workspace, tmp_path, capsys):
     assert captured.err.startswith("error: InvalidSequence: ") and captured.err.count("\n") == 1
 
 
+def test_scan_overlong_method_name_exit_3(workspace, tmp_path, capsys):
+    # an invoked method's name is decoded at package granularity too
+    blob, _ = non_ascii_dex()
+    bad = tmp_path / "bad.apk"
+    write_apk(bad, [with_overlong_method_name(blob)])
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(["scan", str(bad), "--model", str(workspace["model"]), "--reference", str(ref_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == "error: InvalidSequence: byte 0xc1: invalid start byte\n"
+
+
 @pytest.mark.parametrize("version", [b"+35", b" 35", b"35 ", b"\t35", b"3_5"])
 def test_scan_version_not_three_digits_exit_3(workspace, tmp_path, capsys, version):
     blob = bytearray(random_dex(1)[0])
@@ -211,17 +226,22 @@ def _dex_of(body, filler=(), descriptor="()V"):
     return builder.build()
 
 
-def _sharing(blob, strings, target):
+def _sharing(blob, strings, target, stride=0):
     """``blob`` with the string ids of ``strings`` pointed at the data of
-    ``target``, its checksum made good again."""
+    ``target``, its checksum made good again. With ``stride`` 1 the k-th id
+    points k bytes further in, so each names a shorter suffix of ``target``."""
     offsets = parse_dex(blob).string_offsets
     index = {_string(blob, off): i for i, off in enumerate(offsets)}
     ids_off = struct.unpack_from("<I", blob, 60)[0]
     patched = bytearray(blob)
-    for s in strings:
-        struct.pack_into("<I", patched, ids_off + 4 * index[s], offsets[index[target]])
+    start = offsets[index[target]]
+    for k, s in enumerate(strings):
+        struct.pack_into("<I", patched, ids_off + 4 * index[s], start + stride * k)
     struct.pack_into("<I", patched, 8, zlib.adler32(patched[12:]))
     return bytes(patched)
+
+
+_OWNER = "p/" + "X" * 39_998
 
 
 def _shared_string_dex(kind):
@@ -234,6 +254,8 @@ def _shared_string_dex(kind):
         name = "n" * 500_000
         body = [ins_invoke(InvokeKind.Static, _API, n, "()V") for n in names]
         return _sharing(_dex_of(body, [name]), names, name)
+    if kind == "class-paths":  # 4,000 invoked methods of one 40,000-character class
+        return _dex_of([ins_invoke(InvokeKind.Static, _OWNER, f"m{i}", "()V") for i in range(4000)])
     # 10 invoked methods, each taking 250 parameters of one 60,000-character class
     descriptor = "(" + ("Lp/" + "X" * 59_995 + ";") * 250 + ")V"
     return _dex_of([ins_invoke(InvokeKind.Static, _API, f"m{i}", descriptor) for i in range(10)])
@@ -241,7 +263,13 @@ def _shared_string_dex(kind):
 
 @pytest.mark.parametrize(
     "kind, strict",
-    [("type-names", False), ("method-names", False), ("method-names", True), ("descriptors", False)],
+    [
+        ("type-names", False),
+        ("method-names", False),
+        ("method-names", True),
+        ("descriptors", False),
+        ("class-paths", False),
+    ],
 )
 def test_scan_memory_in_proportion_to_the_dex(workspace, tmp_path, capsys, kind, strict):
     blob = _shared_string_dex(kind)
@@ -252,6 +280,52 @@ def test_scan_memory_in_proportion_to_the_dex(workspace, tmp_path, capsys, kind,
     rc, peak = tracemalloc_peak(lambda: main(argv + ["--strict-dex"] * strict))
     assert rc in (0, 10, 11)
     assert "error:" not in capsys.readouterr().err
+    assert peak <= 8 * len(blob), f"{peak:,} bytes for a {len(blob):,}-byte dex"
+
+
+@pytest.mark.parametrize("g", list(Granularity))
+def test_features_memory_in_proportion_to_the_dex(g):
+    # scan above runs at package granularity only, the workspace model's
+    blob = _shared_string_dex("class-paths")
+    ref = make_reference(g, [key_of(_OWNER, "m0", g)])
+    fv, peak = tracemalloc_peak(lambda: features_from_dex_blobs([blob], ref))
+    assert fv.counts == ((1,) if g is Granularity.Method else (4000,))
+    assert peak <= 8 * len(blob), f"{peak:,} bytes for a {len(blob):,}-byte dex"
+
+
+def _overlapping_string_dex(kind):
+    """2,000 string ids pointed at successive bytes of one 40,000-character string."""
+    if kind == "type-names":  # parameter types, decoded by parse_dex
+        params = [f"Lp/C{i};" for i in range(2000)]
+        name = "Lp/" + "x" * 39_996 + ";"
+        return _sharing(_dex_of([], [name], "(" + "".join(params) + ")V"), params, name, 1)
+    names = [f"m{i}" for i in range(2000)]
+    name = "n" * 40_000
+    if kind == "method-names":  # invoked methods, named by the count path
+        body = [ins_invoke(InvokeKind.Static, _API, n, "()V") for n in names]
+        return _sharing(_dex_of(body, [name]), names, name, 1)
+    return _sharing(_dex_of([], names + [name]), names, name, 1)  # only --strict-dex decodes these
+
+
+@pytest.mark.parametrize(
+    "kind, strict", [("type-names", False), ("method-names", False), ("strings", True)]
+)
+def test_scan_overlapping_string_data_exit_3(workspace, tmp_path, capsys, kind, strict):
+    blob = _overlapping_string_dex(kind)
+    apk = tmp_path / "overlapping.apk"
+    write_apk(apk, [blob])
+    _, ref_path = workspace["refs"][Granularity.Package]
+    argv = ["scan", str(apk), "--model", str(workspace["model"]), "--reference", str(ref_path)]
+    if strict:
+        assert main(argv) in (0, 10, 11)
+        capsys.readouterr()
+    rc, peak = tracemalloc_peak(lambda: main(argv + ["--strict-dex"] * strict))
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"error: StructuralError: string data at \d+ overlaps other strings\n", captured.err
+    )
     assert peak <= 8 * len(blob), f"{peak:,} bytes for a {len(blob):,}-byte dex"
 
 

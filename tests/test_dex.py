@@ -16,7 +16,6 @@ from apksift.dalvik import OPCODE_UNITS
 from apksift.dex import (
     BATCH_MIN_ITEMS,
     _read_class_data,
-    _resolve_method,
     _walk_batched,
     _walk_into,
     count_invoke_targets,
@@ -35,7 +34,8 @@ from apksift.errors import (
     TruncatedEncoding,
     UnsupportedVersion,
 )
-from apksift.invokes import KIND_BY_OPCODE, InvokeKind, MethodRef
+from apksift.invokes import KIND_BY_OPCODE, InvokeKind, class_path_of
+from apksift.reference import Granularity, key_of
 from apksift.synth import (
     DexBuilder,
     MethodDef,
@@ -395,9 +395,22 @@ def test_structural_error_messages(locker_dex, case):
 
 
 def _undescribed(sites):
-    """Counts per target of ``sites`` with descriptors stripped, as
-    count_invoke_targets gives them."""
-    return Counter(MethodRef(s.target.class_path, s.target.name, "") for s in sites)
+    """Counts per (class path, name) of ``sites``: targets with their
+    descriptors stripped."""
+    return Counter((s.target.class_path, s.target.name) for s in sites)
+
+
+def _named(dex, counts):
+    """count_invoke_targets' counts per method index summed per (class path,
+    name) of each index, as _undescribed gives them; primitive receivers,
+    which extract_invokes drops, dropped too."""
+    named = Counter()
+    for method_idx, n in counts.items():
+        class_idx, _, name_idx = dex.method_ids.item(method_idx)
+        class_path = class_path_of(dex.type_names[class_idx])
+        if class_path is not None:
+            named[class_path, dex.string(name_idx)] += n
+    return named
 
 
 def test_locker_snippet_invokes(locker_dex):
@@ -406,7 +419,7 @@ def test_locker_snippet_invokes(locker_dex):
     assert sites == expected
     lock = sites[0]
     assert lock.kind is InvokeKind.Virtual
-    assert lock.target.package == "android/app/admin"
+    assert key_of(lock.target.class_path, "", Granularity.Package) == "android/app/admin"
     assert lock.target.class_path == "android/app/admin/DevicePolicyManager"
     assert lock.target.name == "lockNow"
     assert lock.target.descriptor == "()V"
@@ -474,7 +487,7 @@ def test_primitive_array_receiver_dropped_reference_array_normalized():
     sites = extract_invokes(parse_dex(blob, strict=True))
     assert len(sites) == 1
     assert sites[0].target.class_path == "java/lang/String"
-    assert sites[0].target.package == "java/lang"
+    assert key_of(sites[0].target.class_path, "", Granularity.Package) == "java/lang"
     assert sites == expected
 
 
@@ -510,7 +523,7 @@ def test_non_ascii_names_parse_and_resolve():
     assert sites == expected
     assert {s.caller_class for s in sites} == {NON_ASCII_CLASS}
     assert [s.target.name for s in sites] == ["\u65b9\u6cd5\U0001f600", "lock\U0001f512", "lockNow"]
-    assert count_invoke_targets(dex) == _undescribed(expected)
+    assert _named(dex, count_invoke_targets(dex)) == _undescribed(expected)
 
 
 def test_overlong_type_name_raises():
@@ -535,13 +548,13 @@ def test_type_list_fault_raises_in_extract_only(locker_dex, kind):
     with pytest.raises(StructuralError) as info:
         extract_invokes(dex)
     assert str(info.value) == message
-    assert count_invoke_targets(dex) == _undescribed(expected)
+    assert _named(dex, count_invoke_targets(dex)) == _undescribed(expected)
 
 
 def test_count_matches_extract(crypto_dex):
     blob, _ = crypto_dex
     dex = parse_dex(blob)
-    assert count_invoke_targets(dex) == _undescribed(extract_invokes(dex))
+    assert _named(dex, count_invoke_targets(dex)) == _undescribed(extract_invokes(dex))
 
 
 # -- generator-backed oracle -----------------------------------------------------
@@ -553,7 +566,7 @@ def test_oracle_random_fixture(seed):
     blob, expected = random_dex(seed)
     dex = parse_dex(blob, strict=True)
     assert Counter(extract_invokes(dex)) == Counter(expected)
-    assert count_invoke_targets(dex) == _undescribed(expected)
+    assert _named(dex, count_invoke_targets(dex)) == _undescribed(expected)
 
 
 def test_oracle_suite_hundred_files():
@@ -572,9 +585,10 @@ def test_oracle_suite_hundred_files():
 # -- lock-step walk against the scalar walk ----------------------------------------
 #
 # A dex with BATCH_MIN_ITEMS code items or more is walked in numpy lock-step;
-# the scalar walk (_walk_into over every item, then resolve) is the oracle.
+# the scalar walk (_walk_into over every item, then a range check of each
+# method index in walk order) is the oracle.
 # Every item is a method of its own, so the method table has at least
-# BATCH_MIN_ITEMS entries and raw invoke indices below that always resolve.
+# BATCH_MIN_ITEMS entries and raw invoke indices below that are always in range.
 
 _INVOKE_OPS = [op for op in range(0x6E, 0x79) if op != 0x73]
 _UNIT = st.integers(0, 0xFFFF)
@@ -613,7 +627,7 @@ def _instruction(draw):
 
 
 # Each fault is spliced into one item's stream; all of them make the walk or
-# the resolve fail (a cut stream may also happen to end on an instruction).
+# the range check fail (a cut stream may also happen to end on an instruction).
 _FAULTS = {
     "truncated-invoke": (0x1000 | 0x6E,),  # as the item's last unit
     "truncated-payload": (0x0300, 1),  # fill-array header cut short
@@ -643,11 +657,10 @@ def _scalar_hits(dex):
 
 
 def _scalar_counts(dex):
-    counts = Counter()
-    for packed, n in Counter(_scalar_hits(dex)).items():
-        ref = _resolve_method(dex, packed >> 8)
-        if ref is not None:
-            counts[ref] += n
+    counts = Counter(packed >> 8 for packed in _scalar_hits(dex))
+    for method_idx in counts:  # in walk order
+        if method_idx >= len(dex.method_ids):
+            raise StructuralError(f"invoke method index {method_idx} out of range")
     return counts
 
 

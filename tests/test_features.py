@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from apksift.features import (
     COUNT_CEILING,
     FeatureVector,
-    _vector_from_counter,
+    _add,
     extract_features,
     extract_from_sample,
     features_from_dex_blobs,
     write_features_csv,
 )
 from apksift.dex import extract_invokes, parse_dex
-from apksift.invokes import MethodRef
 from apksift.reference import Granularity, key_of, make_reference, project
 from apksift.synth import random_dex, write_apk
 
@@ -108,7 +107,8 @@ def test_extract_from_sample_sniffs(tmp_path, crypto_dex, crypto_sites, package_
 
 @given(invoke_lists(), invoke_lists())
 def test_additivity(a, b):
-    keys = sorted({key_of(s.target, Granularity.Package) for s in a + b} - {None, ""})
+    packages = {key_of(s.target.class_path, "", Granularity.Package) for s in a + b}
+    keys = sorted(packages - {None, ""})
     if not keys:
         keys = ["java/io"]
     ref = make_reference(Granularity.Package, keys)
@@ -120,7 +120,7 @@ def test_additivity(a, b):
 
 @given(invoke_lists(), st.randoms(use_true_random=False))
 def test_permutation_invariance(sites, rnd):
-    keys = sorted({key_of(s.target, Granularity.Class) for s in sites} - {None, ""})
+    keys = sorted({key_of(s.target.class_path, "", Granularity.Class) for s in sites} - {None, ""})
     if not keys:
         keys = ["java/io/File"]
     ref = make_reference(Granularity.Class, keys)
@@ -132,7 +132,8 @@ def test_permutation_invariance(sites, rnd):
 @settings(max_examples=40, deadline=None)
 @given(invoke_lists(max_size=60))
 def test_granularity_consistency(sites):
-    method_keys = sorted({key_of(s.target, Granularity.Method) for s in sites} - {None})
+    targets = {(s.target.class_path, s.target.name) for s in sites}
+    method_keys = sorted({key_of(*t, Granularity.Method) for t in targets} - {None})
     if not method_keys:
         return
     methods = make_reference(Granularity.Method, method_keys)
@@ -154,11 +155,10 @@ def test_granularity_consistency(sites):
 
 
 def test_count_saturation(package_subset):
-    read = MethodRef("java/io/FileInputStream", "read", "([B)I")
-    close = MethodRef("java/io/FileInputStream", "close", "()V")
-    flush = MethodRef("javax/crypto/CipherOutputStream", "flush", "()V")
-    counter = Counter({read: COUNT_CEILING, close: 500, flush: 3})
-    fv = _vector_from_counter(counter, package_subset)
+    counts = [0] * len(package_subset)
+    keyed = [("java/io", COUNT_CEILING), ("java/io", 500), ("javax/crypto", 3)]
+    _add(counts, keyed, package_subset)
+    fv = FeatureVector(tuple(counts), package_subset.fingerprint)
     assert by_key(fv, package_subset)["java/io"] == COUNT_CEILING
     assert by_key(fv, package_subset)["javax/crypto"] == 3
 

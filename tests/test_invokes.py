@@ -13,6 +13,7 @@ from apksift.invokes import (
     loads_invoke_list,
     parse_invoke_line,
 )
+from apksift.reference import Granularity, key_of
 
 from conftest import invoke_lists
 
@@ -22,7 +23,7 @@ def test_parse_virtual_line():
     assert site.kind is InvokeKind.Virtual
     assert site.caller_class == "com/a/B"
     assert site.target == MethodRef("java/io/FileInputStream", "read", "([B)I")
-    assert site.target.package == "java/io"
+    assert key_of(site.target.class_path, "", Granularity.Package) == "java/io"
 
 
 def test_parse_range_suffix():
@@ -78,7 +79,7 @@ def test_empty_caller_round_trips():
 
 def test_default_package_target():
     site = parse_invoke_line("invoke-virtual La/B; LFoo;->bar()V")
-    assert site.target.package == ""
+    assert key_of(site.target.class_path, "", Granularity.Package) == ""
     assert site.target.class_path == "Foo"
 
 

@@ -4,7 +4,6 @@ checked against ``transform``."""
 
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -86,7 +85,7 @@ def test_string_encryption_is_feature_identity(sites):
     t = default_transform(ObfuscationKind.StringEncryption, seed=3)
     out = transform(sites, t)
     for g in (Granularity.Package, Granularity.Class, Granularity.Method):
-        keys = sorted({key_of(s.target, g) for s in sites} - {None, ""})
+        keys = sorted({key_of(s.target.class_path, s.target.name, g) for s in sites} - {None, ""})
         if not keys:
             keys = ["com/placeholder/X"] if g is not Granularity.Package else ["com/placeholder"]
             if g is Granularity.Method:
@@ -121,7 +120,7 @@ def test_class_encryption_is_constant_map():
     ref = reference_from_vocab(EXPERIMENT_VOCAB, Granularity.Method)
     assert extract_features(a, ref) == extract_features(b, ref)
     # the System-API-visible multiset collapses to the stub
-    key = lambda s: key_of(s.target, Granularity.Method)
+    key = lambda s: key_of(s.target.class_path, s.target.name, Granularity.Method)
     assert Counter(map(key, a)) == Counter(map(key, t.stub_profile))
 
 
@@ -159,7 +158,7 @@ def test_custom_stub_profile():
 REFS = [reference_from_vocab(EXPERIMENT_VOCAB, g) for g in Granularity]
 TRANSFORMS = [default_transform(kind, seed=9) for kind in ObfuscationKind]
 # call targets the references count, besides random ones
-_KNOWN_TARGETS = [replace(target_of_key(k), descriptor="()V") for k in sorted(EXPERIMENT_VOCAB)]
+_KNOWN_TARGETS = [MethodRef(*target_of_key(k), "()V") for k in sorted(EXPERIMENT_VOCAB)]
 _KNOWN_TARGETS += [s.target for t in TRANSFORMS for s in t.stub_profile]
 _TARGETS = st.one_of(st.sampled_from(_KNOWN_TARGETS), method_refs())
 _CALLERS = st.one_of(

@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from apksift.errors import GranularityMismatch, InvalidProjection, MalformedKey
-from apksift.invokes import MethodRef
 from apksift.reference import (
     Granularity,
     key_of,
@@ -122,30 +121,29 @@ def test_save_round_trip(tmp_path):
 # -- key_of -----------------------------------------------------------------
 
 
-READ = MethodRef("java/io/FileInputStream", "read", "([B)I")
+READ = ("java/io/FileInputStream", "read")
 
 
 def test_key_of_method_excludes_descriptor():
-    assert key_of(READ, Granularity.Method) == "java/io/FileInputStream;->read"
+    assert key_of(*READ, Granularity.Method) == "java/io/FileInputStream;->read"
 
 
 def test_key_of_class_and_package():
-    assert key_of(READ, Granularity.Class) == "java/io/FileInputStream"
-    assert key_of(READ, Granularity.Package) == "java/io"
+    assert key_of(*READ, Granularity.Class) == "java/io/FileInputStream"
+    assert key_of(*READ, Granularity.Package) == "java/io"
 
 
 def test_key_of_default_package_misses_lookup():
-    ref = MethodRef("Foo", "bar", "()V")
-    key = key_of(ref, Granularity.Package)
+    key = key_of("Foo", "bar", Granularity.Package)
     assert key == ""
     packages = make_reference(Granularity.Package, ["java/io"])
     assert key not in packages.index_of
 
 
 def test_key_of_empty_class_path_is_none():
-    ref = MethodRef("", "bar", "()V")
-    assert ref.package == ""
-    assert key_of(ref, Granularity.Method) is None
+    for g in Granularity:
+        assert key_of("", "bar", g) is None
+        assert key_of(None, "bar", g) is None
 
 
 # -- projection ---------------------------------------------------------------
