@@ -1,9 +1,12 @@
 """Application-package ingestion: locate and pull embedded DEX blobs.
 
 Only `classes.dex` / `classesN.dex` entries are read; manifests, resources
-and native libraries are never touched. Enumeration goes through the zip
-central directory (zipfile refuses archives without one), so local-header-only
-archives are rejected up front.
+and native libraries are never touched. A dex entry is read past its first
+8 bytes only if they are a dex magic, so an entry that cannot be a dex (a
+zip bomb of zeros, say) is never inflated: its 8 bytes stand in for it, and
+``dex.parse_dex`` rejects them with the same BadMagic as the whole entry.
+Enumeration goes through the zip central directory (zipfile refuses archives
+without one), so local-header-only archives are rejected up front.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 
+from .dex import MAGIC_SIZE, is_dex_magic
 from .errors import NoDexFound, NotAZipArchive
 
 _DEX_ENTRY = re.compile(r"^classes([2-9][0-9]*)?\.dex$")
@@ -34,6 +38,12 @@ _CORRUPT_ZIP = (
 )
 
 
+def _read_dex(zf: zipfile.ZipFile, name: str) -> bytes:
+    with zf.open(name) as fh:
+        head = fh.read(MAGIC_SIZE)
+    return zf.read(name) if is_dex_magic(head) else head
+
+
 @dataclass(frozen=True)
 class ApkPackage:
     """An opened application package: its DEX payloads, in entry-name order."""
@@ -44,15 +54,17 @@ class ApkPackage:
 def open_apk(source) -> ApkPackage:
     """Open an apk (path or binary file object) and extract every DEX blob.
 
-    Blobs are ordered by entry-name lexicographic order. Raises
-    NotAZipArchive for an archive zipfile cannot read, NoDexFound when no
-    entry matches; OS errors propagate as OSError.
+    Blobs are ordered by entry-name lexicographic order. An entry whose
+    first 8 bytes are not a dex magic comes back as those bytes alone, and
+    nothing past them is inflated. Raises NotAZipArchive for an archive
+    zipfile cannot read, NoDexFound when no entry matches; OS errors
+    propagate as OSError.
     """
     label = getattr(source, "name", "<stream>") if hasattr(source, "read") else str(source)
     try:
         with zipfile.ZipFile(source) as zf:
             names = sorted(n for n in zf.namelist() if _DEX_ENTRY.match(n))
-            blobs = tuple(zf.read(n) for n in names)
+            blobs = tuple(_read_dex(zf, n) for n in names)
     except _CORRUPT_ZIP as exc:
         raise NotAZipArchive(f"{label}: {str(exc) or type(exc).__name__}") from exc
     if not blobs:

@@ -51,6 +51,7 @@ from .errors import (
 from .invokes import KIND_BY_OPCODE, InvokeSite, MethodRef, class_path_of
 
 HEADER_SIZE = 112
+MAGIC_SIZE = 8
 ENDIAN_TAG = 0x12345678
 SUPPORTED_VERSIONS = (35, 36, 37, 38, 39)
 
@@ -177,6 +178,17 @@ class DexFile:
         return self.pool[self.string_offsets.item(idx)]
 
 
+def is_dex_magic(head: bytes) -> bool:
+    """True if ``head`` starts with a dex magic: ``dex\\n``, three digits, NUL.
+
+    The version digits are checked against SUPPORTED_VERSIONS later, so an
+    unsupported version is UnsupportedVersion, not BadMagic.
+    """
+    return (
+        len(head) >= MAGIC_SIZE and head[0:4] == b"dex\n" and head[4:7].isdigit() and head[7] == 0
+    )
+
+
 def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     """Parse a DEX blob into its id pools and per-class code offsets.
 
@@ -184,8 +196,8 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     ``strict=True`` also ChecksumMismatch, InvalidSequence for any
     undecodable pool string and StructuralError for overlapping ones.
     """
-    if len(blob) < 8 or blob[0:4] != b"dex\n" or not blob[4:7].isdigit() or blob[7] != 0:
-        raise BadMagic(f"magic {blob[0:8]!r}")
+    if not is_dex_magic(blob):
+        raise BadMagic(f"magic {blob[0:MAGIC_SIZE]!r}")
     version = int(blob[4:7])
     if version not in SUPPORTED_VERSIONS:
         raise UnsupportedVersion(f"dex version {version:03d}")

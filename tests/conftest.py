@@ -341,3 +341,17 @@ def corrupt_apk_bytes(kind: str) -> bytes:
         raw[cd + 9] |= 0x08
         raw[cd + 46] = 0xFF
     return bytes(raw)
+
+
+def zeros_apk_bytes(size: int, bad_crc: bool = False) -> bytes:
+    """An apk whose deflated ``classes.dex`` inflates to ``size`` zero bytes, a
+    zip bomb when ``size`` is large. ``bad_crc`` zeroes the entry's CRC-32, a
+    fault that zipfile sees only once it reaches the end of the entry."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_DEFLATED) as zf:
+        zf.writestr("classes.dex", bytes(size))
+    raw = bytearray(buf.getvalue())
+    if bad_crc:
+        cd = raw.rindex(b"PK\x01\x02")
+        raw[14:18] = raw[cd + 16 : cd + 20] = bytes(4)
+    return bytes(raw)

@@ -2,21 +2,35 @@
 
 import io
 import lzma
+import re
 import struct
 import zipfile
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apksift.apk import open_apk
-from apksift.errors import NoDexFound, NotAZipArchive
+from apksift.errors import BadMagic, NoDexFound, NotAZipArchive
+from apksift.features import extract_from_sample, features_from_dex_blobs
+from apksift.reference import Granularity, make_reference
+from apksift.synth import DexBuilder
 
-from conftest import CORRUPT_ZIPS, corrupt_apk_bytes
+from conftest import (
+    CORRUPT_ZIPS,
+    build_single_method_dex,
+    corrupt_apk_bytes,
+    crypto_body,
+    locker_body,
+    tracemalloc_peak,
+    zeros_apk_bytes,
+)
 
 
-def make_zip(entries: dict[str, bytes]) -> bytes:
+def make_zip(entries: dict[str, bytes], compression=zipfile.ZIP_STORED) -> bytes:
     buf = io.BytesIO()
-    with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_STORED) as zf:
+    with zipfile.ZipFile(buf, "w", compression=compression) as zf:
         for name, payload in entries.items():
             zf.writestr(name, payload)
     return buf.getvalue()
@@ -121,30 +135,107 @@ class RangeTrackingFile:
         return True
 
 
+def _data_span(raw: bytes, name: str) -> tuple[int, int]:
+    """[start, end) of an entry's data in a zip, from its central directory."""
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
+        info = zf.getinfo(name)
+    start = info.header_offset + 30 + len(info.filename.encode())
+    return start, start + info.compress_size
+
+
 def test_non_dex_entry_data_never_read(tmp_path):
+    dex = DexBuilder().build()
     entries = {
         "AndroidManifest.xml": b"M" * 4096,
         "res/raw/blob.bin": b"R" * 8192,
-        "classes.dex": b"D" * 512,
+        "classes.dex": dex,
         "lib/armeabi/native.so": b"S" * 2048,
     }
     raw = make_zip(entries)
-
-    # non-dex data spans, computed from the central directory of the raw bytes
-    spans = []
-    with zipfile.ZipFile(io.BytesIO(raw)) as zf:
-        for info in zf.infolist():
-            if info.filename == "classes.dex":
-                continue
-            data_start = info.header_offset + 30 + len(info.filename.encode())
-            spans.append((data_start, data_start + info.compress_size, info.filename))
+    spans = [(*_data_span(raw, name), name) for name in entries if name != "classes.dex"]
 
     tracker = RangeTrackingFile(raw)
     pkg = open_apk(tracker)
-    assert pkg.dex_blobs == (b"D" * 512,)
+    assert pkg.dex_blobs == (dex,)
     for lo, hi in tracker.ranges:
         for s, e, name in spans:
             assert not (lo < e and s < hi), f"read [{lo},{hi}) touched {name} data [{s},{e})"
+
+
+def test_bad_magic_entry_read_no_further_than_the_first_read():
+    raw = make_zip({"classes.dex": b"D" * 65536})
+    start, end = _data_span(raw, "classes.dex")
+    first_read_end = start + zipfile.ZipExtFile.MIN_READ_SIZE  # what zipfile reads to get 8 bytes
+
+    tracker = RangeTrackingFile(raw)
+    assert open_apk(tracker).dex_blobs == (b"D" * 8,)
+    for lo, hi in tracker.ranges:
+        assert not (lo < end and first_read_end < hi), f"read [{lo},{hi}) past {first_read_end}"
+
+
+def _outcome(fn):
+    """``fn()``'s vector counts, or the class and message of what it raised."""
+    try:
+        return fn().counts
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_zip_bomb_memory_in_proportion_to_the_apk(tmp_path):
+    apk = tmp_path / "bomb.apk"
+    apk.write_bytes(zeros_apk_bytes(16 << 20))  # about 16 KiB on disk
+    ref = make_reference(Granularity.Package, ["java/io"])
+    outcome, peak = tracemalloc_peak(lambda: _outcome(lambda: extract_from_sample(apk, ref)))
+    assert outcome == (BadMagic, f"magic {bytes(8)!r}")
+    size = apk.stat().st_size
+    assert peak <= 8 * size, f"{peak:,} bytes for a {size:,}-byte apk"
+
+
+def test_bad_magic_entry_with_a_damaged_stream_is_bad_magic():
+    # a wrong CRC-32 shows only at the end of the entry, which a bad magic
+    # never reaches; reading the whole entry would be NotAZipArchive instead
+    raw = zeros_apk_bytes(65536, bad_crc=True)
+    with zipfile.ZipFile(io.BytesIO(raw)) as zf, pytest.raises(zipfile.BadZipFile, match="CRC"):
+        zf.read("classes.dex")
+    blobs = open_apk(io.BytesIO(raw)).dex_blobs
+    assert blobs == (bytes(8),)
+    with pytest.raises(BadMagic, match=re.escape(f"magic {bytes(8)!r}")):
+        features_from_dex_blobs(blobs, make_reference(Granularity.Package, ["java/io"]))
+
+
+# entries whose first 0-16 bytes are at or near a dex magic, then a tail: the
+# rest of a real dex (so a good magic parses), that rest cut short, or a few
+# arbitrary bytes
+_BODIES = [build_single_method_dex(body)[0] for body in (locker_body(), crypto_body())]
+_MAGIC_WORDS = st.sampled_from([b"dex\n", b"dey\n", b"DEX\n", b"dex\0", b"\0\0\0\0"])
+_VERSIONS = st.one_of(
+    st.sampled_from([b"035", b"039", b"034", b"040", b"000", b"999"]),
+    st.text("0123456789 +", min_size=3, max_size=3).map(str.encode),
+)
+_NUL = st.sampled_from([b"\0", b"\x01", b"\n"])
+
+
+@st.composite
+def _entries(draw):
+    body = draw(st.sampled_from(_BODIES))
+    magic = draw(_MAGIC_WORDS) + draw(_VERSIONS) + draw(_NUL)
+    n = draw(st.integers(0, 16))
+    head = (magic + body[8:])[:n]
+    cut = st.integers(n, len(body)).map(lambda end: body[n:end])
+    return head + draw(st.one_of(st.just(body[n:]), cut, st.binary(max_size=24)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    entries=st.lists(_entries(), min_size=1, max_size=2),
+    compression=st.sampled_from([zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED]),
+)
+def test_early_stop_gives_what_the_whole_entries_give(entries, compression):
+    ref = make_reference(Granularity.Package, ["android/app/admin", "java/io", "javax/crypto"])
+    names = ["classes.dex", "classes2.dex"]
+    raw = make_zip(dict(zip(names, entries)), compression)
+    from_apk = _outcome(lambda: features_from_dex_blobs(open_apk(io.BytesIO(raw)).dex_blobs, ref))
+    assert from_apk == _outcome(lambda: features_from_dex_blobs(entries, ref))
 
 
 def test_struct_for_zip_store_layout():

@@ -50,6 +50,7 @@ from conftest import (
     with_overlong_method_name,
     with_overlong_type_name,
     write_mixed_caller_apks,
+    zeros_apk_bytes,
 )
 
 
@@ -200,6 +201,17 @@ def test_scan_version_not_three_digits_exit_3(workspace, tmp_path, capsys, versi
     captured = capsys.readouterr()
     assert rc == 3
     assert captured.err == f"error: BadMagic: magic {bytes(blob[:8])!r}\n"
+
+
+def test_scan_zip_bomb_exit_3(workspace, tmp_path, capsys):
+    bad = tmp_path / "bomb.apk"
+    bad.write_bytes(zeros_apk_bytes(16 << 20))
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(["scan", str(bad), "--model", str(workspace["model"]), "--reference", str(ref_path)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == f"error: BadMagic: magic {bytes(8)!r}\n"
 
 
 @pytest.mark.parametrize("kind", TYPE_LIST_FAULTS)

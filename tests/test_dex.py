@@ -293,6 +293,13 @@ def test_bad_magic_version_not_three_digits(version):
         parse_dex(bytes(blob))
 
 
+def test_bad_magic_without_nul():
+    blob = bytearray(DexBuilder().build())
+    blob[7] = 1
+    with pytest.raises(BadMagic):
+        parse_dex(bytes(blob))
+
+
 def test_bad_magic_short_blob():
     with pytest.raises(BadMagic):
         parse_dex(b"foo!bar\x00more")
