@@ -1,17 +1,20 @@
 """Application-package ingestion: locate and pull embedded DEX blobs.
 
 Only `classes.dex` / `classesN.dex` entries are read; manifests, resources
-and native libraries are never touched. A dex entry is read past its first
-8 bytes only if they are a dex magic, so an entry that cannot be a dex (a
-zip bomb of zeros, say) is never inflated: its 8 bytes stand in for it, and
-``dex.parse_dex`` rejects them with the same BadMagic as the whole entry.
+and native libraries are never touched. A dex entry must be stored or
+deflated, the two methods Android's own zip reader (libziparchive) reads; any
+other method is rejected before a byte of the entry is read, since zipfile
+inflates an lzma or bzip2 entry's first read without bound. A dex entry is
+read past its first 8 bytes only if they are a dex magic, so an entry that
+cannot be a dex (a zip bomb of zeros, say) is never inflated: its 8 bytes
+stand in for it, and ``dex.parse_dex`` rejects them with the same BadMagic
+as the whole entry.
 Enumeration goes through the zip central directory (zipfile refuses archives
 without one), so local-header-only archives are rejected up front.
 """
 
 from __future__ import annotations
 
-import lzma
 import re
 import zipfile
 import zlib
@@ -24,21 +27,26 @@ _DEX_ENTRY = re.compile(r"^classes([2-9][0-9]*)?\.dex$")
 
 # what zipfile raises on an archive it cannot read: a bad or truncated central
 # directory, a "version needed to extract" past zipfile's own, an entry name
-# flagged UTF-8 that is not, a bad deflate or lzma stream, an unknown
-# compression method, the encryption flag (which Android ignores), or data
-# that ends before its declared size
+# flagged UTF-8 that is not, a bad deflate stream, the encryption flag (which
+# Android ignores), or data that ends before its declared size; and what
+# _read_dex raises on a compression method other than stored or deflated
 _CORRUPT_ZIP = (
     zipfile.BadZipFile,
     NotImplementedError,
     UnicodeDecodeError,
     zlib.error,
-    lzma.LZMAError,
     RuntimeError,
     EOFError,
 )
 
+_DEX_METHODS = (zipfile.ZIP_STORED, zipfile.ZIP_DEFLATED)
+
 
 def _read_dex(zf: zipfile.ZipFile, name: str) -> bytes:
+    method = zf.getinfo(name).compress_type
+    if method not in _DEX_METHODS:
+        what = zipfile.compressor_names.get(method, f"method {method}")
+        raise NotImplementedError(f"{name}: {what} compression; a dex entry is stored or deflated")
     with zf.open(name) as fh:
         head = fh.read(MAGIC_SIZE)
     return zf.read(name) if is_dex_magic(head) else head
@@ -57,8 +65,8 @@ def open_apk(source) -> ApkPackage:
     Blobs are ordered by entry-name lexicographic order. An entry whose
     first 8 bytes are not a dex magic comes back as those bytes alone, and
     nothing past them is inflated. Raises NotAZipArchive for an archive
-    zipfile cannot read, NoDexFound when no entry matches; OS errors
-    propagate as OSError.
+    zipfile cannot read or a dex entry neither stored nor deflated,
+    NoDexFound when no entry matches; OS errors propagate as OSError.
     """
     label = getattr(source, "name", "<stream>") if hasattr(source, "read") else str(source)
     try:

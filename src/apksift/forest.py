@@ -18,13 +18,21 @@ Thresholds are midpoints between consecutive distinct feature values; ties
 in gain break toward the lowest feature index, then the lowest threshold.
 
 The split search is exact. Each fit replaces every feature value by its rank
-among the column's distinct values, once. A node then makes one np.bincount
-over (candidate, rank, class) keys and one cumsum, which give the left class
-counts at every value present in the node for all candidates at once. A
+among the column's distinct values, once. A batch of nodes then makes one
+flat take of its (row, candidate) ranks, one np.bincount over (node,
+candidate, rank, class) keys and one cumsum, which give the left class counts
+at every value present in each node for all of its candidates at once. A
 vector gain screens those boundaries, and every boundary within 1e-9 of its
-maximum is re-scored by the scalar gain in (feature, threshold) order, so the
-split and gain chosen are bit-identical to scoring each boundary by the
-scalar gain. A threshold maps back through the feature's distinct values.
+node's maximum is re-scored by the scalar gain in (feature, threshold) order,
+so the split and gain chosen are bit-identical to scoring each boundary by
+the scalar gain. A threshold maps back through the feature's distinct values.
+
+The trees of a forest grow in lockstep: each step takes the next impure
+pre-order node of every unfinished tree and scores them together, in batches
+of at most ROW_CAP rows. The trees are still the ones grown one at a time. A
+node's split depends only on its own rows and candidates, and each tree draws
+its bootstrap and its candidates from its own stream, in its own pre-order,
+so batching moves no draw between trees or within one.
 
 A tree is the model file's own pre-order node list: a split is ("s",
 feature, threshold), sending a sample left iff counts[feature] <= threshold,
@@ -254,7 +262,7 @@ def information_gain(data: LabeledDataset, feature_index: int, threshold: float)
 
 def _rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
     """Each entry's rank in its column, and each column's distinct values."""
-    ranks = np.empty(X.shape, dtype=np.intp)
+    ranks = np.empty(X.shape, dtype=np.int32)
     values = []
     for f in range(X.shape[1]):
         distinct, ranks[:, f] = np.unique(X[:, f], return_inverse=True)
@@ -266,49 +274,84 @@ def _xlog2x(c: np.ndarray) -> np.ndarray:
     return c * np.log2(np.maximum(c, 1))
 
 
-def _split_search(
-    R: np.ndarray, y: np.ndarray, counts: tuple[int, int, int], candidates: list[int], values
-) -> tuple[float, int, int, float] | None:
-    """Best (gain, feature, rank, threshold) over ascending candidates, by the
-    histogram search of the module docstring; None if no split has positive
-    gain. A sample goes left iff its rank is <= rank (value <= threshold)."""
-    if not candidates:
-        return None
-    sub = R[:, candidates]
-    lo = sub.min(axis=0)
-    width = sub.max(axis=0) - lo + 1
-    end = np.cumsum(width)  # candidate j owns histogram rows [end - width, end)
-    offset = end - width - lo
-    keys = (sub + offset) * N_CLASSES + y[:, None]
+# Most rows in one batch of nodes (unless one node has more); bounds the
+# temporaries at a forest's first steps, where every node holds a whole
+# bootstrap resample.
+ROW_CAP = 4096
+
+
+def _batches(sizes: list[int]):
+    """(start, stop) runs of consecutive nodes, of these sizes, that hold at
+    most ROW_CAP rows each, or one node that alone holds more."""
+    start = rows = 0
+    for i, size in enumerate(sizes):
+        if i > start and rows + size > ROW_CAP:
+            yield start, i
+            start, rows = i, 0
+        rows += size
+    if sizes:
+        yield start, len(sizes)
+
+
+def _best_splits(R, y, values, rows: np.ndarray, sizes: np.ndarray, counts, candidates) -> list:
+    """Each node's best (gain, feature, rank, threshold), or None if no split
+    has positive gain, by the batched histogram search of the module
+    docstring. Node k holds the next sizes[k] rows of R that rows indexes,
+    with class counts counts[k], and scores the ascending features
+    candidates[k]; every node has the same number of candidates. A sample
+    goes left iff its rank is <= rank (value <= threshold), and the left
+    class counts come last."""
+    K, m = len(sizes), len(candidates[0])
+    starts = np.cumsum(sizes) - sizes
+    flat = np.repeat(np.array(candidates, dtype=np.intp), sizes, axis=0)
+    flat += (rows * R.shape[1])[:, None]
+    keys = R.take(flat)  # each (row, candidate) rank
+    del flat
+    lo = np.minimum.reduceat(keys, starts)
+    width = np.maximum.reduceat(keys, starts) - lo + 1
+    end = np.cumsum(width)  # block k * m + j owns histogram rows [end - width, end)
+    offset = (end.reshape(K, m) - width - lo).astype(np.int32)
+    keys += np.repeat(offset, sizes, axis=0)
+    keys *= N_CLASSES
+    keys += y[rows][:, None]
     hist = np.bincount(keys.ravel(), minlength=int(end[-1]) * N_CLASSES).reshape(-1, N_CLASSES)
     present = np.flatnonzero(hist.any(axis=1))
     block = np.searchsorted(end, present, side="right")
     at = np.flatnonzero(block[1:] == block[:-1])  # present values with a successor
     if at.size == 0:
-        return None
-    pos, j = present[at], block[at]
-    total = np.asarray(counts)
-    # each candidate's rows sum to counts, so subtract the blocks before it
-    left = hist.cumsum(axis=0)[pos] - j[:, None] * total
-    nl = left.sum(axis=1)
-    n = len(y)
-    h_total = _entropy_of(counts)
-    gain = h_total - (
+        return [None] * K
+    pos, b = present[at], block[at]
+    k = b // m
+    totals = np.repeat(np.array(counts), m, axis=0)
+    # each block's rows sum to its node's class counts, so subtract the blocks before it
+    left = hist.cumsum(axis=0)[pos] - (totals.cumsum(axis=0) - totals)[b]
+    total = totals[b]
+    nl, n = left.sum(axis=1), total.sum(axis=1)
+    h = [_entropy_of(c) for c in counts]
+    gain = np.array(h)[k] - (
         _xlog2x(nl) - _xlog2x(left).sum(axis=1)
         + _xlog2x(n - nl) - _xlog2x(total - left).sum(axis=1)
     ) / n
-    best, best_gain = None, 0.0
-    for k in np.flatnonzero(gain >= gain.max() - 1e-9).tolist():
-        g = _split_gain(counts, tuple(left[k].tolist()), h_total)
-        if g > best_gain:
-            best, best_gain = k, g
-    if best is None:
-        return None
-    jb = int(j[best])
-    feature = candidates[jb]
-    rank = int(pos[best] - offset[jb])
-    upper = int(present[at[best] + 1] - offset[jb])
-    return best_gain, feature, rank, (values[feature][rank] + values[feature][upper]) / 2
+    new = np.diff(k, prepend=-1) != 0  # boundaries are grouped by node
+    ceiling = np.maximum.reduceat(gain, np.flatnonzero(new)) - 1e-9
+    screened = np.flatnonzero(gain >= ceiling[np.cumsum(new) - 1])
+    best: list = [None] * K  # (boundary, left class counts) of each node's best
+    best_gain = [0.0] * K
+    for i, kk, lt in zip(screened.tolist(), k[screened].tolist(), left[screened].tolist()):
+        lt = tuple(lt)
+        g = _split_gain(counts[kk], lt, h[kk])
+        if g > best_gain[kk]:
+            best[kk], best_gain[kk] = (i, lt), g
+    for kk, found in enumerate(best):
+        if found is not None:
+            i, lt = found
+            j = int(b[i]) - kk * m
+            feature, shift = candidates[kk][j], int(offset[kk, j])
+            rank = int(pos[i]) - shift
+            upper = int(present[at[i] + 1]) - shift
+            threshold = (values[feature][rank] + values[feature][upper]) / 2
+            best[kk] = (best_gain[kk], feature, rank, threshold, lt)
+    return best
 
 
 def best_split(
@@ -323,48 +366,93 @@ def best_split(
     X, y = data.to_arrays()
     R, values = _rank_columns(X)
     candidates = sorted(set(int(i) for i in candidate_feature_indices))
-    best = _split_search(R, y, data.class_counts(), candidates, values)
+    best = None
+    if candidates:
+        [best] = _best_splits(R, y, values, np.arange(len(y)), np.array([len(y)]),
+                              [data.class_counts()], [candidates])
     if best is None:
         raise NoUsefulSplit("no candidate feature/threshold has positive gain")
-    gain, feature, _, threshold = best
+    gain, feature, _, threshold, _ = best
     return feature, threshold, gain
 
 
 # -- training ----------------------------------------------------------------
 
 
-def _label_counts(y: np.ndarray) -> tuple[int, int, int]:
-    b = np.bincount(y, minlength=N_CLASSES)
-    return (int(b[0]), int(b[1]), int(b[2]))
+def _leaf(counts: tuple[int, int, int]) -> tuple:
+    n = counts[0] + counts[1] + counts[2]
+    return ("l", counts[0] / n, counts[1] / n, counts[2] / n)
 
 
-def _grow(R: np.ndarray, y: np.ndarray, rng: np.random.Generator, m: int, values) -> Tree:
-    """One tree grown on rank-compressed features. The stack pops each left
-    subtree before its right sibling, so nodes draw their feature subsets in
-    pre-order; a right subtree's entry carries its parent's index."""
-    nodes: list[tuple] = []
-    right: list[int] = []
-    stack = [(R, y, -1)]
-    while stack:
-        R, y, parent = stack.pop()
-        if parent >= 0:
-            right[parent] = len(nodes)
-        counts = _label_counts(y)
-        n = len(y)
-        best = None
-        if max(counts) < n:  # impure, hence n >= 2
-            candidates = np.sort(rng.choice(R.shape[1], size=m, replace=False)).tolist()
-            best = _split_search(R, y, counts, candidates, values)
-        right.append(0)
-        if best is None:
-            nodes.append(("l", counts[0] / n, counts[1] / n, counts[2] / n))
-            continue
-        _, feature, rank, threshold = best
-        mask = R[:, feature] <= rank
-        stack.append((R[~mask], y[~mask], len(nodes)))
-        stack.append((R[mask], y[mask], -1))
-        nodes.append(("s", feature, threshold))
-    return Tree(tuple(nodes), tuple(right))
+def _grow_forest(R: np.ndarray, y: np.ndarray, values, rngs, m: int) -> list[Tree]:
+    """One tree per stream, grown in lockstep on rank-compressed features.
+
+    Tree t's rows are its bootstrap resample, the first draw of rngs[t], held
+    in boot[t * n : (t + 1) * n]; a node is a span of boot with its class
+    counts, and splitting it partitions the span in place, left rows first.
+    Each tree's stack pops its left subtrees before their right siblings, so
+    nodes come off it in pre-order; a right subtree's entry carries its
+    parent's index. Each step pops every unfinished tree's nodes up to its
+    next impure one: the pure ones are leaves, and only the impure one draws
+    candidates, from its own tree's stream. Then, batch by batch, one
+    _best_splits scores the step's impure nodes, and the span of every node
+    that splits is partitioned.
+    """
+    n, d = R.shape
+    boot = np.empty(len(rngs) * n, dtype=np.intp)
+    for t, rng in enumerate(rngs):
+        boot[t * n : (t + 1) * n] = rng.integers(0, n, size=n)
+    labels = y[boot].reshape(len(rngs), n)
+    root = zip(*[np.count_nonzero(labels == c, axis=1).tolist() for c in range(N_CLASSES)])
+    stacks = [[(t * n, (t + 1) * n, c, -1)] for t, c in enumerate(root)]
+    nodes: list[list[tuple]] = [[] for _ in rngs]
+    right: list[list[int]] = [[] for _ in rngs]
+    live = list(range(len(rngs)))
+    while live:
+        step = []  # (tree, span, counts, node index) of each tree's next impure node
+        for t in live:
+            while stacks[t]:
+                lo, hi, counts, parent = stacks[t].pop()
+                if parent >= 0:
+                    right[t][parent] = len(nodes[t])
+                right[t].append(0)
+                if max(counts) < hi - lo:
+                    nodes[t].append(None)
+                    step.append((t, lo, hi, counts, len(nodes[t]) - 1))
+                    break
+                nodes[t].append(_leaf(counts))
+        for start, stop in _batches([hi - lo for _, lo, hi, _, _ in step]):
+            batch = step[start:stop]
+            starts = np.array([node[1] for node in batch])
+            sizes = np.array([node[2] for node in batch]) - starts
+            ends = np.cumsum(sizes)  # the batch's spans, concatenated
+            span = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
+            rows = boot[span]
+            found = _best_splits(
+                R, y, values, rows, sizes, [node[3] for node in batch],
+                [sorted(rngs[node[0]].choice(d, size=m, replace=False).tolist()) for node in batch],
+            )
+            splits = [k for k, split in enumerate(found) if split is not None]
+            if splits:  # stable partition of each split node's span, left rows first
+                mine = np.repeat([split is not None for split in found], sizes)
+                moved, split_sizes = rows[mine], sizes[splits]
+                cell = np.repeat(np.array([found[k][1] for k in splits], dtype=np.intp), split_sizes)
+                cell += moved * d
+                goes_right = R.take(cell) > np.repeat([found[k][2] for k in splits], split_sizes)
+                key = np.repeat(np.arange(0, 2 * len(splits), 2), split_sizes)
+                key += goes_right
+                boot[span[mine]] = moved[np.argsort(key, kind="stable")]
+            for (t, lo, hi, counts, i), split in zip(batch, found):
+                if split is not None:
+                    _, feature, _, threshold, left = split
+                    mid = lo + sum(left)
+                    stacks[t].append((mid, hi, tuple(a - b for a, b in zip(counts, left)), i))
+                    stacks[t].append((lo, mid, left, -1))
+                    nodes[t][i] = ("s", feature, threshold)
+                else:
+                    nodes[t][i] = _leaf(counts)
+        live = [t for t in live if stacks[t]]
+    return [Tree(tuple(nd), tuple(r)) for nd, r in zip(nodes, right)]
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -384,13 +472,9 @@ def train_forest(data: LabeledDataset, hp: Hyperparams) -> RandomForestModel:
         raise InvalidHyperparams("feature dimension is zero")
     m = math.isqrt(d - 1) + 1  # ceil(sqrt(d)), never above d
     R, values = _rank_columns(X)
-    trees = []
-    for t in range(hp.n_trees):
-        rng = tree_rng(hp.seed, t)
-        boot = rng.integers(0, n, size=n)
-        trees.append(_grow(R[boot], y[boot], rng, m, values))
+    rngs = [tree_rng(hp.seed, t) for t in range(hp.n_trees)]
     return RandomForestModel(
-        trees=tuple(trees),
+        trees=tuple(_grow_forest(R, y, values, rngs, m)),
         hyperparams=hp,
         feature_dim=d,
         reference_fingerprint=data.reference_fingerprint,
@@ -527,11 +611,14 @@ def rank_features(datasets: Sequence[LabeledDataset]) -> list[tuple[int, float]]
     for ds in datasets:
         X, y = ds.to_arrays()
         R, values = _rank_columns(X)
-        total = ds.class_counts()
-        for f in range(d):
-            res = _split_search(R, y, total, [f], values)
-            if res is not None:
-                sums[f] += res[0]
+        n, total = len(y), ds.class_counts()
+        for start, stop in _batches([n] * d):
+            k = stop - start
+            found = _best_splits(R, y, values, np.tile(np.arange(n), k), np.full(k, n),
+                                 [total] * k, [[f] for f in range(start, stop)])
+            for f, res in enumerate(found, start):
+                if res is not None:
+                    sums[f] += res[0]
     k = len(datasets)
     means = [(f, sums[f] / k) for f in range(d)]
     means.sort(key=lambda item: (-item[1], item[0]))

@@ -7,9 +7,10 @@ from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from apksift import forest
 from apksift.errors import (
     CorruptModel,
     EmptySet,
@@ -345,6 +346,68 @@ def test_monotone_leaf_property():
             n = len(labels)
             expected = tuple(labels.count(c) / n for c in range(3))
             assert tree.nodes[at][1:] == expected
+
+
+def reference_forest(data, hp):
+    """The forest grown one tree at a time, each in pre-order from its own
+    stream, by a brute-force midpoint search over information_gain: the
+    sequential definition that train_forest's lockstep growth must match."""
+    d = len(data.samples[0].features.counts)
+    m = math.isqrt(d - 1) + 1
+    trees = []
+    for t in range(hp.n_trees):
+        rng = tree_rng(hp.seed, t)
+        boot = rng.integers(0, len(data), size=len(data))
+        nodes = []
+
+        def grow(samples):
+            counts = [sum(s.label is c for s in samples) for c in CLASS_ORDER]
+            best = None
+            if max(counts) < len(samples):
+                node = ds([(s.features.counts, s.label) for s in samples])
+                for f in sorted(rng.choice(d, size=m, replace=False).tolist()):
+                    values = sorted({s.features.counts[f] for s in samples})
+                    for lo, hi in zip(values, values[1:]):
+                        gain = information_gain(node, f, (lo + hi) / 2)
+                        if gain > (best[0] if best else 0.0):
+                            best = (gain, f, (lo + hi) / 2)
+            if best is None:
+                nodes.append(("l", *(c / len(samples) for c in counts)))
+                return
+            _, f, threshold = best
+            nodes.append(("s", f, threshold))
+            grow([s for s in samples if s.features.counts[f] <= threshold])
+            grow([s for s in samples if s.features.counts[f] > threshold])
+
+        grow([data.samples[i] for i in boot.tolist()])
+        trees.append(Tree.from_nodes(nodes, d))
+    return RandomForestModel(tuple(trees), hp, d, data.reference_fingerprint)
+
+
+# values up to 1000 spread the histogram; values 0..1 make most boundaries tie
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([1, 1000]).flatmap(rows_of),
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=0, max_value=3),
+)
+def test_forest_equals_the_sequential_reference(rows, n_trees, seed):
+    assume(len({label for _, label in rows}) >= 2)
+    data = ds([(tuple(counts), label) for counts, label in rows])
+    hp = Hyperparams(n_trees=n_trees, seed=seed)
+    assert dumps_model(train_forest(data, hp)) == dumps_model(reference_forest(data, hp))
+
+
+def test_row_cap_of_one_scores_each_node_alone(monkeypatch):
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 4, size=(80, 6))
+    y = np.where(rng.random(80) < 0.2, rng.integers(0, 3, size=80), (X[:, 0] + X[:, 1]) % 3)
+    data = ds([(tuple(row), CLASS_ORDER[c]) for row, c in zip(X.tolist(), y.tolist())])
+    hp = Hyperparams(n_trees=6, seed=2)
+    batched = dumps_model(train_forest(data, hp))
+    monkeypatch.setattr(forest, "ROW_CAP", 1)
+    alone = dumps_model(train_forest(data, hp))
+    assert alone == batched == dumps_model(reference_forest(data, hp))
 
 
 # -- prediction ----------------------------------------------------------------------
