@@ -7,7 +7,8 @@ criterion 4 (``entropy``, ``information_gain`` and ``best_split``, which no
 command calls) agree bit-for-bit. Training is fully deterministic given
 (data, hyperparams, seed): tree t draws its bootstrap resample and all of its
 per-node feature subsets from a stream seeded by (seed, t), so adding trees
-never perturbs earlier ones.
+never perturbs earlier ones, and CV fold k scores every grid value on a
+prefix of one forest of max(grid) trees, seeded (seed, k).
 
 Growth follows Breiman's random forest and is not configurable: every tree
 is grown unpruned until each leaf is pure or no candidate split has positive
@@ -49,7 +50,6 @@ import math
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from datetime import date
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -216,7 +216,6 @@ class RandomForestModel:
 # -- entropy / information gain ---------------------------------------------
 
 
-@lru_cache(maxsize=1 << 16)
 def _entropy_of(counts: tuple[int, int, int]) -> float:
     n = counts[0] + counts[1] + counts[2]
     h = 0.0
@@ -566,9 +565,12 @@ def cv_accuracy_table(
 ) -> dict[int, float]:
     """Mean stratified-CV accuracy per grid value.
 
-    Each fold's train and test subsets are built once and every grid value is
-    fitted on them. Folds whose training partition degenerates to a single
-    class are skipped from the average.
+    Fold k's training partition grows one forest of max(grid) trees, seeded
+    derive_seed(seed, k). Each held-out row walks every tree once, and the
+    cumsum of its leaf distributions over trees adds them in predict_proba's
+    order: prefix v over v is predict_proba of the first v trees, and its
+    argmax (ties to the first class) is predict. Folds whose training
+    partition degenerates to a single class are skipped from the average.
     """
     if n_folds < 2:
         raise InvalidHyperparams(f"cv folds {n_folds} < 2")
@@ -579,24 +581,22 @@ def cv_accuracy_table(
     values = sorted(set(int(v) for v in grid))
     if values[0] < 1:
         raise InvalidHyperparams(f"n_trees {values[0]} < 1")
-    _, y = data.to_arrays()
+    X, y = data.to_arrays()
     fold_of = stratified_folds(y, n_folds, np.random.default_rng((seed, 101)))
-    accs: dict[int, list[float]] = {v: [] for v in values}
+    accs: list[list[float]] = []  # per usable fold, the accuracy of each grid value
     for k in range(n_folds):
         in_fold = fold_of == k
-        if not in_fold.any():
+        if not in_fold.any() or len(np.unique(y[~in_fold])) < 2:
             continue
         train = data.subset(np.flatnonzero(~in_fold).tolist())
-        if sum(1 for c in train.class_counts() if c > 0) < 2:
-            continue
-        test = data.subset(np.flatnonzero(in_fold).tolist())
-        for v in values:
-            model = train_forest(train, Hyperparams(n_trees=v, seed=derive_seed(seed, v, k)))
-            hits = sum(1 for s in test if predict(model, s.features) is s.label)
-            accs[v].append(hits / len(test))
-    if not accs[values[0]]:
+        trees = train_forest(train, Hyperparams(values[-1], derive_seed(seed, k))).trees
+        leaves = np.array([[_walk(tree, x)[1:] for tree in trees] for x in X[in_fold].tolist()])
+        probs = leaves.cumsum(axis=1)[:, [v - 1 for v in values]] / np.array(values)[:, None]
+        hits = (probs.argmax(axis=2) == y[in_fold][:, None]).sum(axis=0)
+        accs.append([h / len(leaves) for h in hits.tolist()])
+    if not accs:
         raise TooFewSamples("no usable CV fold")
-    return {v: sum(a) / len(a) for v, a in accs.items()}
+    return {v: sum(a) / len(a) for v, a in zip(values, zip(*accs))}
 
 
 def rank_features(datasets: Sequence[LabeledDataset]) -> list[tuple[int, float]]:

@@ -33,6 +33,7 @@ from apksift.forest import (
     best_grid_value,
     best_split,
     cv_accuracy_table,
+    derive_seed,
     dumps_model,
     entropy,
     information_gain,
@@ -43,6 +44,7 @@ from apksift.forest import (
     predict_proba,
     rank_features,
     save_model,
+    stratified_folds,
     train_forest,
     tree_rng,
 )
@@ -493,10 +495,82 @@ def test_select_prefers_smaller_on_tie_and_matches_cv_table():
         assert chosen == 1
 
 
+def cv_reference(data, grid, seed, n_folds):
+    """Each grid value's per-fold accuracies by the definition: on every fold
+    whose training split holds two classes, a separate train_forest of v
+    trees seeded derive_seed(seed, k), scored with predict on the fold."""
+    _, y = data.to_arrays()
+    fold_of = stratified_folds(y, n_folds, np.random.default_rng((seed, 101))).tolist()
+    accs = {v: [] for v in grid}
+    for k in range(n_folds):
+        test = [s for s, f in zip(data, fold_of) if f == k]
+        train = [s for s, f in zip(data, fold_of) if f != k]
+        if not test or len({s.label for s in train}) < 2:
+            continue
+        for v in accs:
+            model = train_forest(LabeledDataset(train), Hyperparams(v, derive_seed(seed, k)))
+            accs[v].append(sum(predict(model, s.features) is s.label for s in test) / len(test))
+    return accs
+
+
+def check_cv_oracle(data, grid, seed, n_folds):
+    accs = cv_reference(data, grid, seed, n_folds)
+    if not accs[grid[0]]:
+        with pytest.raises(TooFewSamples):
+            cv_accuracy_table(data, grid, seed=seed, n_folds=n_folds)
+        return accs
+    assert cv_accuracy_table(data, grid, seed=seed, n_folds=n_folds) == {
+        v: sum(a) / len(a) for v, a in accs.items()
+    }
+    return accs
+
+
+# grids may repeat a value and often hold 1; few rows per class often leave a
+# fold whose training split holds one class, or none
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 1000]).flatmap(rows_of),
+    st.lists(st.sampled_from([1, 1, 2, 3, 5, 8]), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=2, max_value=4),
+)
+def test_cv_table_matches_a_fit_per_grid_value(rows, grid, seed, n_folds):
+    assume(len(rows) >= n_folds)
+    data = ds([(tuple(counts), label) for counts, label in rows])
+    check_cv_oracle(data, grid, seed, n_folds)
+
+
+def test_cv_oracle_skips_a_single_class_training_fold():
+    # the one trusted row is dealt to fold 0, whose training split is all ransomware
+    data = ds([((i, i % 2), R) for i in range(5)] + [((9, 1), T)])
+    accs = check_cv_oracle(data, [3, 1, 3], seed=2, n_folds=5)
+    assert [len(a) for a in accs.values()] == [4, 4]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([1, 1000]).flatmap(rows_of),
+    st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=3),
+)
+def test_cv_accuracy_of_a_value_does_not_depend_on_the_grid(rows, grid, seed):
+    assume(len(rows) >= 3 and len({label for _, label in rows}) >= 2)
+    data = ds([(tuple(counts), label) for counts, label in rows])
+    try:
+        table = cv_accuracy_table(data, grid, seed=seed, n_folds=3)
+    except TooFewSamples:
+        return
+    for v in grid:
+        assert cv_accuracy_table(data, [v], seed=seed, n_folds=3)[v] == table[v]
+
+
 def test_select_too_few_samples():
     small = ds([((i,), T if i % 2 else R) for i in range(9)])
     with pytest.raises(TooFewSamples):
         cv_accuracy_table(small, [5])
+    # one row per class: all are dealt to fold 0, which leaves it no training rows
+    with pytest.raises(TooFewSamples):
+        cv_accuracy_table(ds([((0,), T), ((1,), M), ((2,), R)]), [5], n_folds=3)
 
 
 # -- feature ranking -----------------------------------------------------------------

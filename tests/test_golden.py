@@ -71,10 +71,10 @@ GOLDEN_STDOUT = {
     ),
     "eval-random": (
         0,
-        "malware_vs_benign:auc\tmean=1.0000\tstd=0.0000\n"
-        "malware_vs_benign:tpr_at_0.01_fpr\tmean=1.0000\tstd=0.0000\n"
-        "ransomware_vs_benign:auc\tmean=0.9988\tstd=0.0018\n"
-        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9500\tstd=0.0707\n"
+        "malware_vs_benign:auc\tmean=0.9975\tstd=0.0035\n"
+        "malware_vs_benign:tpr_at_0.01_fpr\tmean=0.9750\tstd=0.0354\n"
+        "ransomware_vs_benign:auc\tmean=0.9931\tstd=0.0097\n"
+        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9250\tstd=0.1061\n"
         "report written to <tmp>/random/random_split_report.json\n"
     ),
     "eval-temporal": (
@@ -93,10 +93,10 @@ GOLDEN_STDOUT = {
     ),
     "eval-random-csv": (
         0,
-        "malware_vs_benign:auc\tmean=1.0000\tstd=0.0000\n"
-        "malware_vs_benign:tpr_at_0.01_fpr\tmean=1.0000\tstd=0.0000\n"
-        "ransomware_vs_benign:auc\tmean=0.9988\tstd=0.0018\n"
-        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9500\tstd=0.0707\n"
+        "malware_vs_benign:auc\tmean=0.9975\tstd=0.0035\n"
+        "malware_vs_benign:tpr_at_0.01_fpr\tmean=0.9750\tstd=0.0354\n"
+        "ransomware_vs_benign:auc\tmean=0.9931\tstd=0.0097\n"
+        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9250\tstd=0.1061\n"
         "report written to <tmp>/random/random_split_report.csv\n"
     ),
     "eval-temporal-csv": (
@@ -158,8 +158,8 @@ GOLDEN_STDOUT = {
     ),
     "train": (
         0,
-        "n_trees=5\tcv_accuracy=0.9833\n"
-        "n_trees=10\tcv_accuracy=0.9833\n"
+        "n_trees=5\tcv_accuracy=0.9667\n"
+        "n_trees=10\tcv_accuracy=0.9583\n"
         "chosen n_trees=5\n"
         "model written to <tmp>/model.json (fingerprint ea0efc1f170e80a8)\n"
     ),
@@ -199,10 +199,10 @@ GOLDEN_SHA256 = {
         "10ae89d8e7ea758c868fd3db8468ec764b2bdb3311afc6675249221f1d769098"
     ),
     "random/random_split_report.csv": (
-        "9b320134e8913f514153a3e47b5044b2c96863566d2e894967aafe3b91165d07"
+        "a705bfacb5b3ce9d34e84d87b46c0c9bdda0269c4f93cbc2582e93949d644930"
     ),
     "random/random_split_report.json": (
-        "7597dbb637040e042d2ee1d580f1800bd70b1137b9f8311412f95bb13035d2be"
+        "6c94ac4eaa1883b9443e23a0247b650afa4bdfcee60922dc6e7ad76600d366ea"
     ),
     "temporal-out/temporal_report.csv": (
         "aff0deeac556cde5bdccdd22088957a8eec6aa45bdb92a8d04b03ad33ffcc12d"
