@@ -5,10 +5,11 @@ and native libraries are never touched. A dex entry must be stored or
 deflated, the two methods Android's own zip reader (libziparchive) reads; any
 other method is rejected before a byte of the entry is read, since zipfile
 inflates an lzma or bzip2 entry's first read without bound. A dex entry is
-read past its first 8 bytes only if they are a dex magic, so an entry that
-cannot be a dex (a zip bomb of zeros, say) is never inflated: its 8 bytes
-stand in for it, and ``dex.parse_dex`` rejects them with the same BadMagic
-as the whole entry.
+read past its first HEADER_SIZE bytes only if they pass ``dex.check_header``
+(magic, version, endian tag, header size), so an entry that cannot be a dex
+(a zip bomb of zeros, with or without a dex magic in front) is never
+inflated: its header bytes stand in for it, and ``dex.parse_dex`` rejects
+them with the same error as the whole entry.
 Enumeration goes through the zip central directory (zipfile refuses archives
 without one), so local-header-only archives are rejected up front.
 """
@@ -20,8 +21,8 @@ import zipfile
 import zlib
 from dataclasses import dataclass
 
-from .dex import MAGIC_SIZE, is_dex_magic
-from .errors import NoDexFound, NotAZipArchive
+from .dex import HEADER_SIZE, check_header
+from .errors import ApksiftError, NoDexFound, NotAZipArchive
 
 _DEX_ENTRY = re.compile(r"^classes([2-9][0-9]*)?\.dex$")
 
@@ -48,8 +49,12 @@ def _read_dex(zf: zipfile.ZipFile, name: str) -> bytes:
         what = zipfile.compressor_names.get(method, f"method {method}")
         raise NotImplementedError(f"{name}: {what} compression; a dex entry is stored or deflated")
     with zf.open(name) as fh:
-        head = fh.read(MAGIC_SIZE)
-    return zf.read(name) if is_dex_magic(head) else head
+        head = fh.read(HEADER_SIZE)
+    try:
+        check_header(head)
+    except ApksiftError:
+        return head  # parse_dex raises the same error from these bytes
+    return zf.read(name)
 
 
 @dataclass(frozen=True)
@@ -63,10 +68,11 @@ def open_apk(source) -> ApkPackage:
     """Open an apk (path or binary file object) and extract every DEX blob.
 
     Blobs are ordered by entry-name lexicographic order. An entry whose
-    first 8 bytes are not a dex magic comes back as those bytes alone, and
-    nothing past them is inflated. Raises NotAZipArchive for an archive
-    zipfile cannot read or a dex entry neither stored nor deflated,
-    NoDexFound when no entry matches; OS errors propagate as OSError.
+    first HEADER_SIZE bytes fail ``dex.check_header`` comes back as those
+    bytes alone, and nothing past them is inflated. Raises NotAZipArchive
+    for an archive zipfile cannot read or a dex entry neither stored nor
+    deflated, NoDexFound when no entry matches; OS errors propagate as
+    OSError.
     """
     label = getattr(source, "name", "<stream>") if hasattr(source, "read") else str(source)
     try:

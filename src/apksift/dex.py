@@ -1,11 +1,14 @@
 """Binary DEX parsing: just enough of the container to enumerate call sites.
 
-The parser reads the type, proto, method and class pools into tables and
-decodes each pool string at most once per dex, into a pool keyed by data
-offset: type names up front, any other string (a method name) when it is
-asked for. String data items do not overlap, so the pool raises
-StructuralError once its strings hold more characters than the blob has
-bytes. It locates every method body through the class_data items and walks
+The parser checks the id tables in place (numpy views of the blob; only
+type names are decoded up front, and ``extract_invokes`` reads its protos
+from the blob) and decodes each pool string at most once per dex, into a
+pool keyed by data offset: type names up front, any other string (a method
+name) when it is asked for. String data items do not overlap, so the pool
+raises StructuralError once its strings hold more characters than the blob
+has bytes. ``check_header`` holds the checks that need only the 112-byte
+header, so ``apk`` can reject an entry before inflating the rest of it. The
+parser locates every method body through the class_data items and walks
 each instruction stream with the fixed opcode-size table. Each invoke-type
 instruction gives one packed hit, ``method_idx << 8 | opcode``: commands
 count the hits per method index and resolve nothing (``count_invoke_targets``;
@@ -23,6 +26,18 @@ items, and every dex in ``extract_invokes``, takes only the scalar walker.
 On any fault the lock-step walk gives up and the dex is walked again by
 the scalar code alone, so a malformed dex raises the same first error, in
 walk order, whichever path saw it.
+
+A dex with ``CLASS_BATCH_MIN`` class_defs or more decodes the class_data
+items of all its classes in numpy passes (``_class_data_batched``): every
+field of an item is a ULEB128, so the k-th byte below 0x80 ends its k-th
+value, and one ``flatnonzero`` over the items' bytes finds them all. Each
+pass reads at most ``WINDOW_CAP`` bytes, 5 per value. Method indices are
+rebuilt by a ``cumsum`` that restarts at each direct and virtual list. On
+any fault (or a class whose item alone needs more than ``WINDOW_CAP``
+bytes) the batched decode gives up and the scalar loop decodes the dex
+again, one class at a time, so a malformed dex raises the same first error,
+in class order, whichever path saw it. A smaller dex takes only the scalar
+loop.
 
 Parsing is lenient by default (malware is frequently slightly malformed);
 ``strict=True`` additionally verifies the header Adler-32 checksum and that
@@ -62,6 +77,15 @@ _HEADER_TAIL = struct.Struct("<20I")  # 20 u32 fields from offset 32
 # finishes them one by one. Per dex, lock-step breaks even with the scalar
 # walk at about 200-250 code items.
 BATCH_MIN_ITEMS = 256
+
+# A dex with at least this many class_defs decodes its class_data items in
+# batched numpy passes (``_class_data_batched``) of at most WINDOW_CAP bytes
+# each. Per dex, the batched decode costs about 0.2 ms more than the scalar
+# loop's 3 us a class of 3 methods: they break even at about 85 such classes.
+# A pass holds about 8 bytes of temporaries per window byte; at 2^16 the
+# parse of an 8 MiB dex peaks below what counting its invokes then holds.
+CLASS_BATCH_MIN = 128
+WINDOW_CAP = 1 << 16
 
 _METHOD_ID = np.dtype([("class_idx", "<u2"), ("proto_idx", "<u2"), ("name_idx", "<u4")])
 
@@ -165,7 +189,6 @@ class DexFile:
 
     string_offsets: np.ndarray = field(compare=False)  # u32 string_data_off per string id
     type_names: tuple[str, ...]
-    proto_table: tuple[tuple[int, int], ...]  # (return_type_idx, parameters_off)
     method_ids: np.ndarray = field(compare=False)  # _METHOD_ID rows (class, proto, name idx)
     class_items: tuple[ClassItem, ...]
     blob: bytes = field(repr=False)
@@ -178,15 +201,26 @@ class DexFile:
         return self.pool[self.string_offsets.item(idx)]
 
 
-def is_dex_magic(head: bytes) -> bool:
-    """True if ``head`` starts with a dex magic: ``dex\\n``, three digits, NUL.
-
-    The version digits are checked against SUPPORTED_VERSIONS later, so an
-    unsupported version is UnsupportedVersion, not BadMagic.
-    """
-    return (
-        len(head) >= MAGIC_SIZE and head[0:4] == b"dex\n" and head[4:7].isdigit() and head[7] == 0
-    )
+def check_header(head: bytes) -> None:
+    """Run the checks of ``parse_dex`` that need only the first HEADER_SIZE
+    bytes, in its order and with its messages: the magic (BadMagic), the
+    version (UnsupportedVersion), then as StructuralError the length, the
+    endian tag and ``header_size``."""
+    # the magic is "dex\n", three digits, NUL; digits outside
+    # SUPPORTED_VERSIONS are UnsupportedVersion, not BadMagic
+    magic = head[0:MAGIC_SIZE]
+    if not (magic[:4] == b"dex\n" and magic[4:7].isdigit() and magic[7:] == b"\0"):
+        raise BadMagic(f"magic {magic!r}")
+    version = int(head[4:7])
+    if version not in SUPPORTED_VERSIONS:
+        raise UnsupportedVersion(f"dex version {version:03d}")
+    if len(head) < HEADER_SIZE:
+        raise StructuralError(f"blob shorter than header ({len(head)} < {HEADER_SIZE})")
+    header_size, endian_tag = struct.unpack_from("<2I", head, 36)
+    if endian_tag != ENDIAN_TAG:
+        raise StructuralError(f"endian_tag 0x{endian_tag:08x} (big-endian unsupported)")
+    if header_size != HEADER_SIZE:
+        raise StructuralError(f"header_size {header_size}")
 
 
 def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
@@ -196,18 +230,11 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     ``strict=True`` also ChecksumMismatch, InvalidSequence for any
     undecodable pool string and StructuralError for overlapping ones.
     """
-    if not is_dex_magic(blob):
-        raise BadMagic(f"magic {blob[0:MAGIC_SIZE]!r}")
-    version = int(blob[4:7])
-    if version not in SUPPORTED_VERSIONS:
-        raise UnsupportedVersion(f"dex version {version:03d}")
-    if len(blob) < HEADER_SIZE:
-        raise StructuralError(f"blob shorter than header ({len(blob)} < {HEADER_SIZE})")
-
+    check_header(blob)
     (
         file_size,
-        header_size,
-        endian_tag,
+        _header_size,
+        _endian_tag,
         _link_size,
         _link_off,
         _map_off,
@@ -226,11 +253,6 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
         _data_size,
         _data_off,
     ) = _HEADER_TAIL.unpack_from(blob, 32)
-
-    if endian_tag != ENDIAN_TAG:
-        raise StructuralError(f"endian_tag 0x{endian_tag:08x} (big-endian unsupported)")
-    if header_size != HEADER_SIZE:
-        raise StructuralError(f"header_size {header_size}")
     if file_size > len(blob):
         raise StructuralError(f"file_size {file_size} exceeds blob ({len(blob)})")
 
@@ -247,7 +269,8 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
 
     string_offsets = np.frombuffer(table(string_ids_off, string_ids_size, 4, "string_ids"), "<u4")
     type_string_idx = np.frombuffer(table(type_ids_off, type_ids_size, 4, "type_ids"), "<u4")
-    proto_ids = table(proto_ids_off, proto_ids_size, 12, "proto_ids")
+    # proto_id rows are (shorty_idx, return_type_idx, parameters_off)
+    return_types = np.frombuffer(table(proto_ids_off, proto_ids_size, 12, "proto_ids"), "<u4")[1::3]
     method_ids = np.frombuffer(table(method_ids_off, method_ids_size, 8, "method_ids"), _METHOD_ID)
     class_defs = table(class_defs_off, class_defs_size, 32, "class_defs")
 
@@ -262,11 +285,9 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     pool = _StringPool(blob)
     type_names = tuple(map(pool.__getitem__, string_offsets[type_string_idx].tolist()))
 
-    proto_table = []
-    for _shorty, ret_idx, params_off in struct.iter_unpack("<III", proto_ids):
-        if ret_idx >= type_ids_size:
-            raise StructuralError(f"proto return type {ret_idx} out of range")
-        proto_table.append((ret_idx, params_off))
+    bad = return_types >= type_ids_size
+    if bad.any():
+        raise StructuralError(f"proto return type {return_types[bad.argmax()]} out of range")
 
     bad = (
         (method_ids["class_idx"] >= type_ids_size)
@@ -277,18 +298,7 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
         class_idx, proto_idx, name_idx = method_ids.item(bad.argmax())
         raise StructuralError(f"method_id ({class_idx},{proto_idx},{name_idx}) out of range")
 
-    class_items = []
-    for record in struct.iter_unpack("<8I", class_defs):
-        class_idx, class_data_off = record[0], record[6]
-        if class_idx >= type_ids_size:
-            raise StructuralError(f"class_def type index {class_idx} out of range")
-        if class_data_off == 0:
-            class_items.append(ClassItem(class_idx, ()))
-            continue
-        if class_data_off >= len(blob):
-            raise StructuralError(f"class_data_off {class_data_off} out of bounds")
-        code_offs = _read_class_data(blob, class_data_off, method_ids_size)
-        class_items.append(ClassItem(class_idx, code_offs))
+    class_items = _class_items(blob, class_defs, type_ids_size, method_ids_size)
 
     if strict:  # every string decodes, within a budget of its own; none is kept
         check = _StringPool(blob)
@@ -297,9 +307,8 @@ def parse_dex(blob: bytes, strict: bool = False) -> DexFile:
     return DexFile(
         string_offsets=string_offsets,
         type_names=type_names,
-        proto_table=tuple(proto_table),
         method_ids=method_ids,
-        class_items=tuple(class_items),
+        class_items=class_items,
         blob=blob,
         pool=pool,
     )
@@ -367,6 +376,157 @@ def _read_class_data(blob: bytes, off: int, method_ids_size: int) -> tuple[int, 
     except (TruncatedEncoding, Overlong) as exc:
         raise StructuralError(f"class_data at {off}: {exc}") from exc
     return tuple(code_offs)
+
+
+def _class_items(
+    blob: bytes, class_defs: memoryview, type_ids_size: int, method_ids_size: int
+) -> tuple[ClassItem, ...]:
+    """One ClassItem per class_def, in class order.
+
+    With CLASS_BATCH_MIN class_defs or more, ``_class_data_batched`` decodes
+    their class_data items all at once; on any fault, or below that count,
+    the scalar loop below decodes one class at a time and raises the first
+    fault in class order.
+    """
+    if len(class_defs) >= 32 * CLASS_BATCH_MIN:
+        defs = np.frombuffer(class_defs, "<u4")
+        class_idx = defs[0::8]
+        try:
+            code_offs = _class_data_batched(
+                blob, class_idx, defs[6::8], type_ids_size, method_ids_size
+            )
+            return tuple([ClassItem(i, offs) for i, offs in zip(class_idx.tolist(), code_offs)])
+        except StructuralError:
+            pass
+    class_items = []
+    for record in struct.iter_unpack("<8I", class_defs):
+        class_idx, class_data_off = record[0], record[6]
+        if class_idx >= type_ids_size:
+            raise StructuralError(f"class_def type index {class_idx} out of range")
+        if class_data_off == 0:
+            class_items.append(ClassItem(class_idx, ()))
+            continue
+        if class_data_off >= len(blob):
+            raise StructuralError(f"class_data_off {class_data_off} out of bounds")
+        code_offs = _read_class_data(blob, class_data_off, method_ids_size)
+        class_items.append(ClassItem(class_idx, code_offs))
+    return tuple(class_items)
+
+
+def _class_data_batched(
+    blob: bytes, class_idx: np.ndarray, class_data_off: np.ndarray, type_ids_size: int,
+    method_ids_size: int,
+) -> list[tuple[int, ...]]:
+    """The code offsets of every class's methods, as ``_class_items`` puts
+    them in its ClassItems, from numpy passes over all classes.
+
+    A fault raises a StructuralError that does not say where: the caller
+    decodes the dex again with the scalar code, which raises the first
+    fault in class order.
+    """
+    if (class_idx >= type_ids_size).any() or (class_data_off >= len(blob)).any():
+        raise StructuralError("class_def out of range")
+    code_offs: list[tuple[int, ...]] = [()] * len(class_idx)
+    has_data = np.flatnonzero(class_data_off)
+    if not len(has_data):
+        return code_offs
+    data = np.frombuffer(blob, np.uint8)
+    heads = list(_uleb_runs(data, class_data_off[has_data].astype(np.int64), 4))
+    sizes = np.concatenate([values for _, _, values, _ in heads]).reshape(-1, 4)
+    body = np.concatenate([ends for _, _, _, ends in heads])
+    fields = sizes[:, 0] + sizes[:, 1]
+    direct, virtual = sizes[:, 2], sizes[:, 3]
+    # a field is (field_idx_diff, access_flags), a method
+    # (method_idx_diff, access_flags, code_off)
+    counts = 2 * fields + 3 * (direct + virtual)
+    flat: list[int] = []  # non-zero code offsets, in class order
+    kept: list[int] = []  # how many of them each class holds
+    for lo, hi, values, _ in _uleb_runs(data, body, counts):
+        methods = direct[lo:hi] + virtual[lo:hi]
+        lists = np.stack([direct[lo:hi], virtual[lo:hi]], axis=1).ravel()
+        first = np.cumsum(counts[lo:hi]) - counts[lo:hi] + 2 * fields[lo:hi]  # first method's value
+        n = int(methods.sum())
+        at = np.repeat(first - 3 * (np.cumsum(methods) - methods), methods) + 3 * np.arange(n)
+        # method_idx_diff accumulates within each direct or virtual list
+        method_idx = np.cumsum(values[at])
+        restart = np.concatenate(([0], method_idx))[np.cumsum(lists) - lists]
+        method_idx -= np.repeat(restart, lists)
+        if n and method_idx.max() >= method_ids_size:
+            raise StructuralError("encoded_method index out of range")
+        code_off = values[at + 2]
+        nonzero = code_off != 0
+        if (code_off[nonzero] > len(blob) - 16).any():
+            raise StructuralError("code_off out of bounds")
+        flat += code_off[nonzero].tolist()
+        owner = np.repeat(np.arange(hi - lo), methods)
+        kept += np.bincount(owner[nonzero], minlength=hi - lo).tolist()
+    pos = 0
+    for i, k in zip(has_data.tolist(), kept):
+        code_offs[i] = tuple(flat[pos : pos + k])
+        pos += k
+    return code_offs
+
+
+def _uleb_runs(data: np.ndarray, starts: np.ndarray, counts):
+    """Decode ``counts[i]`` ULEB128 values from each ``data`` offset
+    ``starts[i]`` (``counts`` may be one int for every run).
+
+    Each run gets a window of 5 bytes a value, cut at the end of ``data``,
+    and the runs are decoded in chunks of at most ``WINDOW_CAP`` window
+    bytes: the k-th byte below 0x80 in a run's window ends its k-th value.
+    Yields ``(lo, hi, values, ends)`` per chunk: the values of runs
+    ``[lo, hi)`` in run order, and the offset just past each of those runs.
+    A value longer than 5 bytes or cut by the end of ``data``, or a run
+    whose window alone exceeds the cap, raises StructuralError.
+    """
+    counts = np.broadcast_to(np.asarray(counts, np.int64), starts.shape)
+    room = len(data) - starts
+    if (counts > room).any():  # every value takes a byte at least
+        raise StructuralError("ULEB128 run past end of blob")
+    width = np.minimum(5 * counts, room)
+    if (width > WINDOW_CAP).any():
+        raise StructuralError("ULEB128 run over the window cap")
+    cum = np.cumsum(width)
+    lo = 0
+    while lo < len(starts):
+        hi = int(np.searchsorted(cum, cum[lo] - width[lo] + WINDOW_CAP, "right"))
+        yield lo, hi, *_decode_runs(data, starts[lo:hi], counts[lo:hi], width[lo:hi])
+        lo = hi
+
+
+def _decode_runs(data, starts, counts, width):
+    """One chunk of ``_uleb_runs``: ``(values, ends)``."""
+    span_lo, span_hi = int(starts.min()), int((starts + width).max())
+    if span_hi - span_lo <= width.sum():  # items laid out in a row: read their span in place
+        byte, base = data[span_lo:span_hi], starts - span_lo
+    else:
+        base = np.cumsum(width) - width  # where each run's window begins in the gather
+        # the gather's blob offsets: +1 a byte, and a jump where each window begins
+        at = np.ones(int(width.sum()), np.int64)
+        used = width > 0
+        at[base[used]] = starts[used] - np.concatenate(([1], (starts + width)[used][:-1])) + 1
+        byte = data[np.cumsum(at, out=at)]
+        del at
+    term = np.flatnonzero(byte < 0x80)  # the last byte of every value
+    first = np.searchsorted(term, base)
+    if (np.searchsorted(term, base + width) - first < counts).any():
+        raise StructuralError("ULEB128 value overlong or cut by the end of the blob")
+    offset = np.cumsum(counts) - counts  # each run's first value
+    last = term[np.repeat(first - offset, counts) + np.arange(int(counts.sum()))]
+    longer = np.empty_like(last)  # bytes before each value's last byte
+    longer[1:] = last[1:] - last[:-1] - 1
+    some = counts > 0
+    longer[offset[some]] = last[offset[some]] - base[some]
+    if (longer >= 5).any():
+        raise StructuralError("ULEB128 value overlong")
+    values = byte[last].astype(np.int64)
+    more = np.flatnonzero(longer)
+    for k in range(1, 5):  # earlier bytes, high to low, of the values that have them
+        values[more] = values[more] << 7 | (byte[last[more] - k] & 0x7F)
+        more = more[longer[more] > k]
+    ends = starts.copy()
+    ends[some] += last[(offset + counts - 1)[some]] - base[some] + 1
+    return values, ends
 
 
 def _walk_into(
@@ -473,7 +633,9 @@ def _walk_batched(blob: bytes, code_offs: list[int]) -> np.ndarray:
 
 
 def _method_descriptor(dex: DexFile, method_idx: int) -> str:
-    ret_idx, params_off = dex.proto_table[dex.method_ids.item(method_idx)[1]]
+    proto_ids_off = struct.unpack_from("<I", dex.blob, 76)[0]  # checked by parse_dex
+    proto_row = proto_ids_off + 12 * dex.method_ids.item(method_idx)[1]
+    _shorty_idx, ret_idx, params_off = struct.unpack_from("<3I", dex.blob, proto_row)
     params = ""
     if params_off:
         if params_off + 4 > len(dex.blob):

@@ -118,9 +118,10 @@ def with_bad_type_list(blob: bytes, kind: str) -> tuple[bytes, str]:
     """``blob`` (a locker snippet dex, whose one proto with parameters is
     resetPassword's) with that proto's parameters damaged in the named way,
     and the message extract_invokes raises for it."""
-    dex = parse_dex(blob)
-    proto, params_off = next((i, p) for i, (_, p) in enumerate(dex.proto_table) if p)
-    n_types = len(dex.type_names)
+    protos_size, protos_off = struct.unpack_from("<2I", blob, 72)
+    protos = struct.iter_unpack("<3I", blob[protos_off : protos_off + 12 * protos_size])
+    proto, params_off = next((i, p) for i, (_, _, p) in enumerate(protos) if p)
+    n_types = len(parse_dex(blob).type_names)
     fmt, off, value, message = {  # as in test_dex's _STRUCTURAL_CASES
         "parameters_off": (
             "<I", struct.unpack_from("<I", blob, 76)[0] + 12 * proto + 8, len(blob) - 2,
@@ -343,13 +344,14 @@ def corrupt_apk_bytes(kind: str) -> bytes:
     return bytes(raw)
 
 
-def zeros_apk_bytes(size: int, bad_crc: bool = False) -> bytes:
-    """An apk whose deflated ``classes.dex`` inflates to ``size`` zero bytes, a
-    zip bomb when ``size`` is large. ``bad_crc`` zeroes the entry's CRC-32, a
-    fault that zipfile sees only once it reaches the end of the entry."""
+def zeros_apk_bytes(size: int, bad_crc: bool = False, head: bytes = b"") -> bytes:
+    """An apk whose deflated ``classes.dex`` inflates to ``head`` and then
+    ``size`` zero bytes, a zip bomb when ``size`` is large. ``bad_crc`` zeroes
+    the entry's CRC-32, a fault that zipfile sees only once it reaches the end
+    of the entry."""
     buf = io.BytesIO()
     with zipfile.ZipFile(buf, "w", compression=zipfile.ZIP_DEFLATED) as zf:
-        zf.writestr("classes.dex", bytes(size))
+        zf.writestr("classes.dex", head + bytes(size))
     raw = bytearray(buf.getvalue())
     if bad_crc:
         cd = raw.rindex(b"PK\x01\x02")

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from apksift.apk import open_apk
-from apksift.errors import BadMagic, NoDexFound, NotAZipArchive
+from apksift.dex import HEADER_SIZE
+from apksift.errors import BadMagic, NoDexFound, NotAZipArchive, StructuralError
 from apksift.features import extract_from_sample, features_from_dex_blobs
 from apksift.reference import Granularity, make_reference
 from apksift.synth import DexBuilder
@@ -164,10 +165,11 @@ def test_non_dex_entry_data_never_read(tmp_path):
 def test_bad_magic_entry_read_no_further_than_the_first_read():
     raw = make_zip({"classes.dex": b"D" * 65536})
     start, end = _data_span(raw, "classes.dex")
-    first_read_end = start + zipfile.ZipExtFile.MIN_READ_SIZE  # what zipfile reads to get 8 bytes
+    # what zipfile reads to get the header's 112 bytes
+    first_read_end = start + zipfile.ZipExtFile.MIN_READ_SIZE
 
     tracker = RangeTrackingFile(raw)
-    assert open_apk(tracker).dex_blobs == (b"D" * 8,)
+    assert open_apk(tracker).dex_blobs == (b"D" * HEADER_SIZE,)
     for lo, hi in tracker.ranges:
         assert not (lo < end and first_read_end < hi), f"read [{lo},{hi}) past {first_read_end}"
 
@@ -186,6 +188,17 @@ def test_zip_bomb_memory_in_proportion_to_the_apk(tmp_path):
     ref = make_reference(Granularity.Package, ["java/io"])
     outcome, peak = tracemalloc_peak(lambda: _outcome(lambda: extract_from_sample(apk, ref)))
     assert outcome == (BadMagic, f"magic {bytes(8)!r}")
+    size = apk.stat().st_size
+    assert peak <= 8 * size, f"{peak:,} bytes for a {size:,}-byte apk"
+
+
+def test_valid_magic_zip_bomb_memory_in_proportion_to_the_apk(tmp_path):
+    # the magic passes; the zeros after it fail the header's endian tag
+    apk = tmp_path / "bomb.apk"
+    apk.write_bytes(zeros_apk_bytes(16 << 20, head=b"dex\n035\x00"))
+    ref = make_reference(Granularity.Package, ["java/io"])
+    outcome, peak = tracemalloc_peak(lambda: _outcome(lambda: extract_from_sample(apk, ref)))
+    assert outcome == (StructuralError, "endian_tag 0x00000000 (big-endian unsupported)")
     size = apk.stat().st_size
     assert peak <= 8 * size, f"{peak:,} bytes for a {size:,}-byte apk"
 
@@ -217,14 +230,14 @@ def test_bad_magic_entry_with_a_damaged_stream_is_bad_magic():
     with zipfile.ZipFile(io.BytesIO(raw)) as zf, pytest.raises(zipfile.BadZipFile, match="CRC"):
         zf.read("classes.dex")
     blobs = open_apk(io.BytesIO(raw)).dex_blobs
-    assert blobs == (bytes(8),)
+    assert blobs == (bytes(HEADER_SIZE),)
     with pytest.raises(BadMagic, match=re.escape(f"magic {bytes(8)!r}")):
         features_from_dex_blobs(blobs, make_reference(Granularity.Package, ["java/io"]))
 
 
 # entries whose first 0-16 bytes are at or near a dex magic, then a tail: the
 # rest of a real dex (so a good magic parses), that rest cut short, or a few
-# arbitrary bytes
+# arbitrary bytes; the dex's header_size and endian tag may be damaged
 _BODIES = [build_single_method_dex(body)[0] for body in (locker_body(), crypto_body())]
 _MAGIC_WORDS = st.sampled_from([b"dex\n", b"dey\n", b"DEX\n", b"dex\0", b"\0\0\0\0"])
 _VERSIONS = st.one_of(
@@ -232,11 +245,17 @@ _VERSIONS = st.one_of(
     st.text("0123456789 +", min_size=3, max_size=3).map(str.encode),
 )
 _NUL = st.sampled_from([b"\0", b"\x01", b"\n"])
+# header_size and endian_tag, bytes 36-44 of the header
+_SIZE_AND_TAG = st.sampled_from(
+    [struct.pack("<2I", *fields) for fields in ((112, 0x12345678), (116, 0x12345678),
+                                                (112, 0x78563412), (0, 0))]
+)
 
 
 @st.composite
 def _entries(draw):
     body = draw(st.sampled_from(_BODIES))
+    body = body[:36] + draw(_SIZE_AND_TAG) + body[44:]
     magic = draw(_MAGIC_WORDS) + draw(_VERSIONS) + draw(_NUL)
     n = draw(st.integers(0, 16))
     head = (magic + body[8:])[:n]

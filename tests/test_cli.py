@@ -268,6 +268,12 @@ def _shared_string_dex(kind):
         return _sharing(_dex_of(body, [name]), names, name)
     if kind == "class-paths":  # 4,000 invoked methods of one 40,000-character class
         return _dex_of([ins_invoke(InvokeKind.Static, _OWNER, f"m{i}", "()V") for i in range(4000)])
+    if kind == "many-classes":  # 600 classes: batched class_data passes over > WINDOW_CAP bytes
+        builder = DexBuilder()
+        for c in range(600):
+            body = [ins_invoke(InvokeKind.Static, _API, f"m{c}", "()V"), ins_return_void()]
+            builder.add_class(f"com/app/C{c}", [MethodDef(f"r{k}", "()V", body) for k in range(32)])
+        return builder.build()
     # 10 invoked methods, each taking 250 parameters of one 60,000-character class
     descriptor = "(" + ("Lp/" + "X" * 59_995 + ";") * 250 + ")V"
     return _dex_of([ins_invoke(InvokeKind.Static, _API, f"m{i}", descriptor) for i in range(10)])
@@ -281,6 +287,7 @@ def _shared_string_dex(kind):
         ("method-names", True),
         ("descriptors", False),
         ("class-paths", False),
+        ("many-classes", False),
     ],
 )
 def test_scan_memory_in_proportion_to_the_dex(workspace, tmp_path, capsys, kind, strict):

@@ -15,6 +15,8 @@ import apksift.dex as dex_module
 from apksift.dalvik import OPCODE_UNITS
 from apksift.dex import (
     BATCH_MIN_ITEMS,
+    _class_data_batched,
+    _class_items,
     _read_class_data,
     _walk_batched,
     _walk_into,
@@ -154,6 +156,113 @@ def test_class_data_code_offsets_of_every_width(code_offs, cut):
             _read_class_data(blob, start, 2**16)
         if isinstance(expected, StructuralError):  # names the decoded offset
             assert str(err.value) == str(expected)
+
+
+def _uleb_wide(value, width):
+    """``value`` as a ULEB128 padded with 0x80 groups to ``width`` bytes, or
+    at its shortest if that is longer; width 6 makes an overlong value."""
+    groups = [value & 0x7F]
+    while value >> 7 or len(groups) < width:
+        value >>= 7
+        groups.append(value & 0x7F)
+    return bytes(g | 0x80 for g in groups[:-1]) + bytes(groups[-1:])
+
+
+# The class_data decoders' test dexes: _CLASS_DATA_AT zero bytes for code
+# items to sit in, then class_data items; _TYPES type ids and _METHODS method
+# ids, so that a method list's indices can run past the end.
+_TYPES, _METHODS, _CLASS_DATA_AT = 8, 64, 1 << 12
+_CLASS_DATA_FAULTS = [
+    "overlong", "method-index", "code_off", "cut", "class_def-type-index", "class_data_off",
+]
+
+
+@st.composite
+def _class_data_item(draw, fault):
+    """One class_data_item, its values 1-5 bytes wide; ``fault`` may make one
+    value overlong, a method index or a code offset out of range."""
+    fields = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    top = _METHODS + 3 if fault == "method-index" else _METHODS
+    code_off = st.one_of(st.just(0), st.integers(1, _CLASS_DATA_AT - 16))
+    if fault == "code_off":
+        code_off = st.one_of(code_off, st.integers(_CLASS_DATA_AT, 2**35 - 1))
+    # each list's indices ascend from 0 again, toward the end of method_ids
+    lists = [
+        sorted(draw(st.lists(st.tuples(st.integers(_METHODS // 2, top - 1), code_off),
+                             max_size=5, unique_by=lambda m: m[0])))
+        for _ in range(2)
+    ]
+    values = [*fields, len(lists[0]), len(lists[1])]
+    values += draw(st.lists(st.integers(0, 2**20), min_size=2 * sum(fields),
+                            max_size=2 * sum(fields)))  # field_idx_diff, access_flags
+    for methods in lists:
+        prev = 0
+        for idx, off in methods:
+            values += [idx - prev, draw(st.integers(0, 0x10001)), off]
+            prev = idx
+    widths = st.sampled_from([1, 1, 1, 2, 3, 4, 5] + [6] * (fault == "overlong"))
+    return b"".join(_uleb_wide(v, draw(widths)) for v in values)
+
+
+@st.composite
+def _class_defs(draw):
+    """(blob, class_idx, class_data_off) of 1-40 class_defs, some sharing a
+    class_data item and some with none, and at most one fault."""
+    fault = draw(st.sampled_from([None, *_CLASS_DATA_FAULTS]))
+    items = draw(st.lists(_class_data_item(None), min_size=1, max_size=8))
+    items.append(draw(_class_data_item(fault)))
+    offsets, blob = [], bytes(_CLASS_DATA_AT)
+    for item in items:
+        offsets.append(len(blob))
+        blob += item
+    if fault == "cut":
+        blob = blob[: len(blob) - draw(st.integers(1, len(items[-1])))]
+    n = draw(st.integers(1, 40))
+    class_idx = draw(st.lists(st.integers(0, _TYPES - 1), min_size=n, max_size=n))
+    class_data_off = [
+        0 if k is None else offsets[k]
+        for k in draw(st.lists(st.one_of(st.none(), st.integers(0, len(items) - 1)),
+                               min_size=n, max_size=n))
+    ]
+    class_data_off[draw(st.integers(0, n - 1))] = offsets[-1]  # the faulty item
+    if fault is None and draw(st.integers(0, 9)) == 0:
+        class_data_off = [0] * n  # no class has methods
+    at = draw(st.integers(0, n - 1))
+    if fault == "class_def-type-index":
+        class_idx[at] = _TYPES
+    elif fault == "class_data_off":
+        class_data_off[at] = len(blob) + draw(st.integers(0, 3))
+    return blob, np.array(class_idx, "<u4"), np.array(class_data_off, "<u4")
+
+
+def _by_class(case):
+    """_class_items' code offsets per class of ``case``'s class_defs."""
+    blob, class_idx, class_data_off = case
+    defs = np.zeros((len(class_idx), 8), "<u4")
+    defs[:, 0], defs[:, 6] = class_idx, class_data_off
+    items = _class_items(blob, memoryview(defs.tobytes()), _TYPES, _METHODS)
+    assert [item.class_type_index for item in items] == class_idx.tolist()
+    return [item.code_offsets for item in items]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_class_defs(), st.sampled_from([256, 1024, dex_module.WINDOW_CAP]))
+def test_class_data_decoders_agree_over_many_classes(case, cap):
+    # the batched decoder gives the scalar loop's code offsets for every
+    # class, or falls back to it and raises its first error word for word
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dex_module, "CLASS_BATCH_MIN", 10**9)
+        expected = _outcome(_by_class, case)  # the scalar loop
+        mp.setattr(dex_module, "CLASS_BATCH_MIN", 1)
+        assert _outcome(_by_class, case) == expected
+        # the batched decoder on its own, since the fallback would hide a
+        # spurious fault in it; a cap of 256 bytes still holds every run
+        mp.setattr(dex_module, "WINDOW_CAP", cap)
+        if isinstance(expected, list):
+            assert _class_data_batched(*case, _TYPES, _METHODS) == expected
+        else:
+            with pytest.raises(StructuralError):
+                _class_data_batched(*case, _TYPES, _METHODS)
 
 
 # -- MUTF-8 --------------------------------------------------------------------
@@ -396,6 +505,46 @@ def test_structural_error_messages(locker_dex, case):
     with pytest.raises(StructuralError) as info:
         parse_dex(bytes(patched))
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("case", sorted(_STRUCTURAL_CASES))
+def test_structural_error_messages_through_the_batched_decode(locker_dex, case, monkeypatch):
+    monkeypatch.setattr(dex_module, "CLASS_BATCH_MIN", 1)
+    test_structural_error_messages(locker_dex, case)
+
+
+def test_batched_decode_passes_stay_within_the_window_cap(monkeypatch):
+    builder = DexBuilder()
+    for c in range(40):
+        methods = [MethodDef(f"m{k}", "()V", [ins_return_void()]) for k in range(c % 6)]
+        builder.add_class(f"com/app/C{c}", methods)
+    blob = builder.build()
+    scalar = parse_dex(blob).class_items
+    windows = []
+
+    def spy(data, starts, counts, width):
+        windows.append(int(width.sum()))
+        return decode_runs(data, starts, counts, width)
+
+    decode_runs = dex_module._decode_runs
+    monkeypatch.setattr(dex_module, "_decode_runs", spy)
+    monkeypatch.setattr(dex_module, "CLASS_BATCH_MIN", 1)
+    monkeypatch.setattr(dex_module, "WINDOW_CAP", 100)  # a run's window is at most 75 bytes here
+    assert parse_dex(blob).class_items == scalar
+    assert len(windows) > 2 and max(windows) <= 100
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_valid_dex_never_falls_back_to_the_scalar_decode(seed, monkeypatch):
+    blob, _ = random_dex(seed)
+    scalar = parse_dex(blob).class_items
+
+    def forbidden(*args):
+        raise AssertionError("the batched class_data decode fell back")
+
+    monkeypatch.setattr(dex_module, "CLASS_BATCH_MIN", 1)
+    monkeypatch.setattr(dex_module, "_read_class_data", forbidden)
+    assert parse_dex(blob).class_items == scalar
 
 
 # -- invoke extraction -----------------------------------------------------------
