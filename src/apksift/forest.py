@@ -6,7 +6,7 @@ tree induction, Eq-style feature ranking and the test oracles of acceptance
 criterion 4 (``entropy``, ``information_gain`` and ``best_split``, which no
 command calls) agree bit-for-bit. Training is fully deterministic given
 (data, hyperparams, seed): tree t draws its bootstrap resample and all of its
-per-node feature subsets from a stream seeded by (seed, t), so adding trees
+per-level feature keys from a stream seeded by (seed, t), so adding trees
 never perturbs earlier ones, and CV fold k scores every grid value on a
 prefix of one forest of max(grid) trees, seeded (seed, k).
 
@@ -18,28 +18,34 @@ replacement. Only the number of trees and the seed are hyperparameters.
 Thresholds are midpoints between consecutive distinct feature values; ties
 in gain break toward the lowest feature index, then the lowest threshold.
 
-The split search is exact. Each fit replaces every feature value by its rank
-among the column's distinct values, once. A batch of nodes then makes one
-flat take of its (row, candidate) ranks, one np.bincount over (node,
-candidate, rank, class) keys and one cumsum, which give the left class counts
-at every value present in each node for all of its candidates at once. A
-vector gain screens those boundaries, and every boundary within 1e-9 of its
-node's maximum is re-scored by the scalar gain in (feature, threshold) order,
-so the split and gain chosen are bit-identical to scoring each boundary by
-the scalar gain. A threshold maps back through the feature's distinct values.
+The split search is exact. Each fit replaces every feature value by its rank,
+its index among the sorted distinct values of all columns laid end to end,
+once. A batch of nodes then makes one flat take of its (row, candidate)
+ranks, one np.bincount over (node, candidate, rank, class) keys and one
+cumsum, which give the left class counts at every value present in each node
+for all of its candidates at once. A vector gain screens those boundaries,
+and every boundary within 1e-9 of its node's maximum is re-scored by the
+scalar gain in (feature, threshold) order, so the split and gain chosen are
+bit-identical to scoring each boundary by the scalar gain. A threshold maps
+back through those distinct values.
 
-The trees of a forest grow in lockstep: each step takes the next impure
-pre-order node of every unfinished tree and scores them together, in batches
-of at most ROW_CAP rows. The trees are still the ones grown one at a time. A
-node's split depends only on its own rows and candidates, and each tree draws
-its bootstrap and its candidates from its own stream, in its own pre-order,
-so batching moves no draw between trees or within one.
+The trees of a forest grow level by level, together: a level holds the nodes
+of every tree at one depth, and all of its impure nodes (those whose samples
+are not all of one class) are scored in batches of at most ROW_CAP rows.
+Candidates are drawn per level. After its bootstrap, tree t makes one
+rng.random((k, d)) draw at each depth, where k is the number of its impure
+nodes there, taken left to right; row i keys the i-th of them, whose
+candidates are the ceil(sqrt(d)) features with the smallest keys (ties to
+the lower index), ascending. A node's split depends only on its own rows and
+candidates, and each tree draws from its own stream in its own level order,
+so neither the batching nor the other trees move a draw.
 
-A tree is the model file's own pre-order node list: a split is ("s",
-feature, threshold), sending a sample left iff counts[feature] <= threshold,
-and a leaf is ("l", p0, p1, p2), the class distribution of the training
-samples that reached it. Every pass over a tree is a loop over that list, so
-tree depth is bounded by memory, not by the interpreter's recursion limit.
+A tree is the model file's own pre-order node list, assembled once every
+level is grown: a split is ("s", feature, threshold), sending a sample left
+iff counts[feature] <= threshold, and a leaf is ("l", p0, p1, p2), the class
+distribution of the training samples that reached it. Every pass over a tree
+is a loop over that list, so tree depth is bounded by memory, not by the
+interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -259,14 +265,18 @@ def information_gain(data: LabeledDataset, feature_index: int, threshold: float)
     return _split_gain(total, left, _entropy_of(total))
 
 
-def _rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[list[int]]]:
-    """Each entry's rank in its column, and each column's distinct values."""
+def _rank_columns(X: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Each entry's rank, its index into values: the sorted distinct values
+    of every column, laid end to end in column order."""
     ranks = np.empty(X.shape, dtype=np.int32)
     values = []
+    start = 0
     for f in range(X.shape[1]):
-        distinct, ranks[:, f] = np.unique(X[:, f], return_inverse=True)
-        values.append(distinct.tolist())
-    return ranks, values
+        distinct, inverse = np.unique(X[:, f], return_inverse=True)
+        ranks[:, f] = inverse.reshape(-1) + start
+        values.append(distinct)
+        start += len(distinct)
+    return ranks, np.concatenate(values).tolist()
 
 
 def _xlog2x(c: np.ndarray) -> np.ndarray:
@@ -274,7 +284,7 @@ def _xlog2x(c: np.ndarray) -> np.ndarray:
 
 
 # Most rows in one batch of nodes (unless one node has more); bounds the
-# temporaries at a forest's first steps, where every node holds a whole
+# temporaries at a forest's first level, where every node holds a whole
 # bootstrap resample.
 ROW_CAP = 4096
 
@@ -292,17 +302,19 @@ def _batches(sizes: list[int]):
         yield start, len(sizes)
 
 
-def _best_splits(R, y, values, rows: np.ndarray, sizes: np.ndarray, counts, candidates) -> list:
-    """Each node's best (gain, feature, rank, threshold), or None if no split
-    has positive gain, by the batched histogram search of the module
-    docstring. Node k holds the next sizes[k] rows of R that rows indexes,
-    with class counts counts[k], and scores the ascending features
-    candidates[k]; every node has the same number of candidates. A sample
-    goes left iff its rank is <= rank (value <= threshold), and the left
-    class counts come last."""
-    K, m = len(sizes), len(candidates[0])
+def _best_splits(R, y, values, rows: np.ndarray, sizes: np.ndarray, counts, candidates):
+    """Each node's best split by the batched histogram search of the module
+    docstring, as arrays over the nodes: (gain, feature, rank, threshold,
+    left class counts), with gain 0 where no split has positive gain. Node k
+    holds the next sizes[k] rows of R that rows indexes, with class counts
+    counts[k], and scores the ascending features of row k of the (K, m)
+    array candidates. A sample goes left iff its rank is <= rank (value <=
+    threshold)."""
+    K, m = candidates.shape
+    feature, rank = np.zeros(K, dtype=np.intp), np.zeros(K, dtype=np.intp)
+    threshold, left_counts = np.zeros(K), np.zeros((K, N_CLASSES), dtype=np.int64)
     starts = np.cumsum(sizes) - sizes
-    flat = np.repeat(np.array(candidates, dtype=np.intp), sizes, axis=0)
+    flat = np.repeat(candidates, sizes, axis=0)
     flat += (rows * R.shape[1])[:, None]
     keys = R.take(flat)  # each (row, candidate) rank
     del flat
@@ -314,19 +326,23 @@ def _best_splits(R, y, values, rows: np.ndarray, sizes: np.ndarray, counts, cand
     keys *= N_CLASSES
     keys += y[rows][:, None]
     hist = np.bincount(keys.ravel(), minlength=int(end[-1]) * N_CLASSES).reshape(-1, N_CLASSES)
+    del keys
     present = np.flatnonzero(hist.any(axis=1))
+    hist = hist[present]  # the rows of values present in their node
     block = np.searchsorted(end, present, side="right")
     at = np.flatnonzero(block[1:] == block[:-1])  # present values with a successor
     if at.size == 0:
-        return [None] * K
+        return np.zeros(K), feature, rank, threshold, left_counts
     pos, b = present[at], block[at]
     k = b // m
-    totals = np.repeat(np.array(counts), m, axis=0)
+    totals = np.repeat(counts, m, axis=0)
     # each block's rows sum to its node's class counts, so subtract the blocks before it
-    left = hist.cumsum(axis=0)[pos] - (totals.cumsum(axis=0) - totals)[b]
+    left = hist.cumsum(axis=0)[at] - (totals.cumsum(axis=0) - totals)[b]
+    del hist
     total = totals[b]
     nl, n = left.sum(axis=1), total.sum(axis=1)
-    h = [_entropy_of(c) for c in counts]
+    node_counts = counts.tolist()
+    h = [_entropy_of(c) for c in node_counts]
     gain = np.array(h)[k] - (
         _xlog2x(nl) - _xlog2x(left).sum(axis=1)
         + _xlog2x(n - nl) - _xlog2x(total - left).sum(axis=1)
@@ -334,23 +350,26 @@ def _best_splits(R, y, values, rows: np.ndarray, sizes: np.ndarray, counts, cand
     new = np.diff(k, prepend=-1) != 0  # boundaries are grouped by node
     ceiling = np.maximum.reduceat(gain, np.flatnonzero(new)) - 1e-9
     screened = np.flatnonzero(gain >= ceiling[np.cumsum(new) - 1])
-    best: list = [None] * K  # (boundary, left class counts) of each node's best
+    best = [0] * K  # the boundary of each node's best split
     best_gain = [0.0] * K
     for i, kk, lt in zip(screened.tolist(), k[screened].tolist(), left[screened].tolist()):
-        lt = tuple(lt)
-        g = _split_gain(counts[kk], lt, h[kk])
+        g = _split_gain(node_counts[kk], lt, h[kk])
         if g > best_gain[kk]:
-            best[kk], best_gain[kk] = (i, lt), g
-    for kk, found in enumerate(best):
-        if found is not None:
-            i, lt = found
-            j = int(b[i]) - kk * m
-            feature, shift = candidates[kk][j], int(offset[kk, j])
-            rank = int(pos[i]) - shift
-            upper = int(present[at[i] + 1]) - shift
-            threshold = (values[feature][rank] + values[feature][upper]) / 2
-            best[kk] = (best_gain[kk], feature, rank, threshold, lt)
-    return best
+            best[kk], best_gain[kk] = i, g
+    best_gain = np.array(best_gain)
+    found = np.flatnonzero(best_gain)
+    i = np.array(best)[found]
+    j = b[i] - found * m
+    shift = offset[found, j]
+    feature[found] = candidates[found, j]
+    rank[found] = pos[i] - shift
+    upper = present[at[i] + 1] - shift
+    # Python ints, as in the scalar definition: an int64 sum could wrap
+    threshold[found] = [
+        (values[r] + values[u]) / 2 for r, u in zip(rank[found].tolist(), upper.tolist())
+    ]
+    left_counts[found] = left[i]
+    return best_gain, feature, rank, threshold, left_counts
 
 
 def best_split(
@@ -365,93 +384,114 @@ def best_split(
     X, y = data.to_arrays()
     R, values = _rank_columns(X)
     candidates = sorted(set(int(i) for i in candidate_feature_indices))
-    best = None
+    gain = np.zeros(1)
     if candidates:
-        [best] = _best_splits(R, y, values, np.arange(len(y)), np.array([len(y)]),
-                              [data.class_counts()], [candidates])
-    if best is None:
+        gain, feature, _, threshold, _ = _best_splits(
+            R, y, values, np.arange(len(y)), np.array([len(y)]),
+            np.array([data.class_counts()]), np.array([candidates], dtype=np.intp),
+        )
+    if not gain[0]:
         raise NoUsefulSplit("no candidate feature/threshold has positive gain")
-    gain, feature, _, threshold, _ = best
-    return feature, threshold, gain
+    return int(feature[0]), float(threshold[0]), float(gain[0])
 
 
 # -- training ----------------------------------------------------------------
 
 
-def _leaf(counts: tuple[int, int, int]) -> tuple:
-    n = counts[0] + counts[1] + counts[2]
-    return ("l", counts[0] / n, counts[1] / n, counts[2] / n)
-
-
 def _grow_forest(R: np.ndarray, y: np.ndarray, values, rngs, m: int) -> list[Tree]:
-    """One tree per stream, grown in lockstep on rank-compressed features.
+    """One tree per stream, grown level by level on rank-compressed features.
 
     Tree t's rows are its bootstrap resample, the first draw of rngs[t], held
     in boot[t * n : (t + 1) * n]; a node is a span of boot with its class
     counts, and splitting it partitions the span in place, left rows first.
-    Each tree's stack pops its left subtrees before their right siblings, so
-    nodes come off it in pre-order; a right subtree's entry carries its
-    parent's index. Each step pops every unfinished tree's nodes up to its
-    next impure one: the pure ones are leaves, and only the impure one draws
-    candidates, from its own tree's stream. Then, batch by batch, one
-    _best_splits scores the step's impure nodes, and the span of every node
-    that splits is partitioned.
+    A level holds every tree's nodes at one depth, tree by tree and left to
+    right within a tree. Each tree draws the candidates of its impure nodes
+    there, and one _best_splits per batch scores the level's impure nodes;
+    the children of its splits, left then right, make the next level. Each
+    tree's pre-order node list is assembled from the levels at the end.
     """
     n, d = R.shape
     boot = np.empty(len(rngs) * n, dtype=np.intp)
     for t, rng in enumerate(rngs):
         boot[t * n : (t + 1) * n] = rng.integers(0, n, size=n)
     labels = y[boot].reshape(len(rngs), n)
-    root = zip(*[np.count_nonzero(labels == c, axis=1).tolist() for c in range(N_CLASSES)])
-    stacks = [[(t * n, (t + 1) * n, c, -1)] for t, c in enumerate(root)]
-    nodes: list[list[tuple]] = [[] for _ in rngs]
-    right: list[list[int]] = [[] for _ in rngs]
-    live = list(range(len(rngs)))
-    while live:
-        step = []  # (tree, span, counts, node index) of each tree's next impure node
-        for t in live:
-            while stacks[t]:
-                lo, hi, counts, parent = stacks[t].pop()
-                if parent >= 0:
-                    right[t][parent] = len(nodes[t])
-                right[t].append(0)
-                if max(counts) < hi - lo:
-                    nodes[t].append(None)
-                    step.append((t, lo, hi, counts, len(nodes[t]) - 1))
-                    break
-                nodes[t].append(_leaf(counts))
-        for start, stop in _batches([hi - lo for _, lo, hi, _, _ in step]):
-            batch = step[start:stop]
-            starts = np.array([node[1] for node in batch])
-            sizes = np.array([node[2] for node in batch]) - starts
-            ends = np.cumsum(sizes)  # the batch's spans, concatenated
-            span = np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
-            rows = boot[span]
-            found = _best_splits(
-                R, y, values, rows, sizes, [node[3] for node in batch],
-                [sorted(rngs[node[0]].choice(d, size=m, replace=False).tolist()) for node in batch],
+    counts = np.stack([np.count_nonzero(labels == c, axis=1) for c in range(N_CLASSES)], axis=1)
+    owner = np.arange(len(rngs))  # each node's tree
+    lo = owner * n
+    hi = lo + n
+    levels = []  # each level's class counts, and the index, feature and threshold of its splits
+    while owner.size:
+        impure = np.flatnonzero(counts.max(axis=1) < hi - lo)
+        K = impure.size
+        gain, feature, rank = np.zeros(K), np.zeros(K, dtype=np.intp), np.zeros(K, dtype=np.intp)
+        threshold, left = np.zeros(K), np.zeros((K, N_CLASSES), dtype=np.int64)
+        if K:
+            per_tree = np.bincount(owner[impure], minlength=len(rngs))
+            keys = np.concatenate(
+                [rngs[t].random((per_tree[t], d)) for t in np.flatnonzero(per_tree)]
             )
-            splits = [k for k, split in enumerate(found) if split is not None]
-            if splits:  # stable partition of each split node's span, left rows first
-                mine = np.repeat([split is not None for split in found], sizes)
+            candidates = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :m], axis=1)
+        for start, stop in _batches((hi - lo)[impure].tolist()):
+            nodes = impure[start:stop]
+            sizes = hi[nodes] - lo[nodes]
+            ends = np.cumsum(sizes)  # the batch's spans, concatenated
+            span = np.arange(ends[-1]) + np.repeat(lo[nodes] - (ends - sizes), sizes)
+            rows = boot[span]
+            batch = slice(start, stop)
+            gain[batch], feature[batch], rank[batch], threshold[batch], left[batch] = _best_splits(
+                R, y, values, rows, sizes, counts[nodes], candidates[batch]
+            )
+            splits = np.flatnonzero(gain[batch])
+            if splits.size:  # stable partition of each split node's span, left rows first
+                mine = np.repeat(gain[batch] > 0, sizes)
                 moved, split_sizes = rows[mine], sizes[splits]
-                cell = np.repeat(np.array([found[k][1] for k in splits], dtype=np.intp), split_sizes)
+                cell = np.repeat(feature[start + splits], split_sizes)
                 cell += moved * d
-                goes_right = R.take(cell) > np.repeat([found[k][2] for k in splits], split_sizes)
-                key = np.repeat(np.arange(0, 2 * len(splits), 2), split_sizes)
+                goes_right = R.take(cell) > np.repeat(rank[start + splits], split_sizes)
+                key = np.repeat(np.arange(0, 2 * splits.size, 2), split_sizes)
                 key += goes_right
                 boot[span[mine]] = moved[np.argsort(key, kind="stable")]
-            for (t, lo, hi, counts, i), split in zip(batch, found):
-                if split is not None:
-                    _, feature, _, threshold, left = split
-                    mid = lo + sum(left)
-                    stacks[t].append((mid, hi, tuple(a - b for a, b in zip(counts, left)), i))
-                    stacks[t].append((lo, mid, left, -1))
-                    nodes[t][i] = ("s", feature, threshold)
-                else:
-                    nodes[t][i] = _leaf(counts)
-        live = [t for t in live if stacks[t]]
-    return [Tree(tuple(nd), tuple(r)) for nd, r in zip(nodes, right)]
+        found = np.flatnonzero(gain)
+        split, left = impure[found], left[found]
+        levels.append((counts, split, feature[found], threshold[found]))
+        mid = lo[split] + left.sum(axis=1)
+        owner = np.repeat(owner[split], 2)
+        lo = np.stack([lo[split], mid], axis=1).ravel()
+        hi = np.stack([mid, hi[split]], axis=1).ravel()
+        counts = np.stack([left, counts[split] - left], axis=1).reshape(-1, N_CLASSES)
+    return _assemble(levels)
+
+
+def _assemble(levels) -> list[Tree]:
+    """Each tree's pre-order node list, from _grow_forest's levels: the j-th
+    split of a level has the next level's nodes 2j and 2j + 1 as children.
+    Subtree sizes come up from the deepest level, then pre-order places come
+    down from the roots: a split at place p has its left child at p + 1 and
+    its right child after the left subtree. Places run across all trees."""
+    sizes = [np.ones(len(levels[-1][0]), dtype=np.intp)]  # the deepest level holds leaves only
+    for counts, split, _, _ in reversed(levels[:-1]):
+        sizes.append(np.ones(len(counts), dtype=np.intp))
+        sizes[-1][split] += sizes[-2][0::2] + sizes[-2][1::2]
+    sizes.reverse()
+    ends = np.cumsum(sizes[0])
+    starts = ends - sizes[0]
+    right = np.zeros(ends[-1], dtype=np.intp)
+    feature, threshold = np.zeros(ends[-1], dtype=np.intp), np.zeros(ends[-1])
+    dist = np.zeros((ends[-1], N_CLASSES))
+    place = starts
+    for (counts, split, split_feature, split_threshold), below in zip(levels, sizes[1:] + [None]):
+        dist[place] = counts / counts.sum(axis=1, keepdims=True)
+        if split.size:
+            parent = place[split]
+            feature[parent], threshold[parent] = split_feature, split_threshold
+            right[parent] = parent + 1 + below[0::2]
+            place = np.stack([parent + 1, right[parent]], axis=1).ravel()
+    right = np.where(right > 0, right - np.repeat(starts, sizes[0]), 0).tolist()  # within each tree
+    columns = zip(right, feature.tolist(), threshold.tolist(), *dist.T.tolist())
+    nodes = [("s", f, thr) if r else ("l", p0, p1, p2) for r, f, thr, p0, p1, p2 in columns]
+    return [
+        Tree(tuple(nodes[a:b]), tuple(right[a:b])) for a, b in zip(starts.tolist(), ends.tolist())
+    ]
 
 
 def tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -614,11 +654,10 @@ def rank_features(datasets: Sequence[LabeledDataset]) -> list[tuple[int, float]]
         n, total = len(y), ds.class_counts()
         for start, stop in _batches([n] * d):
             k = stop - start
-            found = _best_splits(R, y, values, np.tile(np.arange(n), k), np.full(k, n),
-                                 [total] * k, [[f] for f in range(start, stop)])
-            for f, res in enumerate(found, start):
-                if res is not None:
-                    sums[f] += res[0]
+            gain = _best_splits(R, y, values, np.tile(np.arange(n), k), np.full(k, n),
+                                np.tile(total, (k, 1)), np.arange(start, stop, dtype=np.intp)[:, None])[0]
+            for f, g in enumerate(gain.tolist(), start):
+                sums[f] += g
     k = len(datasets)
     means = [(f, sums[f] / k) for f in range(d)]
     means.sort(key=lambda item: (-item[1], item[0]))

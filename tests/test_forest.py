@@ -312,14 +312,14 @@ def value_range_dataset(seed, high):
     )
 
 
-# digests of the model files grown by the per-feature sorted scan that the
-# histogram search replaced; the two searches must agree byte for byte
+# digests of the model files grown under the level-order draw rule; a change
+# to the split search or the growth order must keep them byte for byte
 @pytest.mark.parametrize(
     "seed, high, digest",
     [
-        (0, 20, "065a4cdcb64c65315c72b76f7bf1bbf027cba56b8a94b6b9d088dc119802d26b"),
-        (1, 200, "b620091d0747e4e9fb1c175331b7da505bb7fc68f86523df02ea50f2a71c8191"),
-        (2, 5000, "6cb74cb4d29bf26bf7ecfa62c2d658a36bd9ba9ee973989dfb96a806e5316f54"),
+        (0, 20, "759babf0943c90040c62291b033352c2fbba618b05bed6f86173841ea504c9c6"),
+        (1, 200, "f1055baa94bac90a3b1292a7fa7cf2e1e1370ff078f21cc891c5164548f8508a"),
+        (2, 5000, "2c55829f8dbdb504a7d069fc260f91477bee1e55ec9b99d9c5aec88518f4d661"),
     ],
     ids=["below-20", "below-200", "below-5000"],
 )
@@ -351,38 +351,48 @@ def test_monotone_leaf_property():
 
 
 def reference_forest(data, hp):
-    """The forest grown one tree at a time, each in pre-order from its own
-    stream, by a brute-force midpoint search over information_gain: the
-    sequential definition that train_forest's lockstep growth must match."""
+    """The forest grown one tree at a time, breadth-first from its own stream,
+    by a brute-force midpoint search over information_gain: the level-order
+    definition that train_forest's batched growth must match. At each depth a
+    tree draws rng.random((k, d)) for its k impure nodes, left to right, and a
+    node's candidates are the m features with the smallest keys in its row."""
     d = len(data.samples[0].features.counts)
     m = math.isqrt(d - 1) + 1
     trees = []
     for t in range(hp.n_trees):
         rng = tree_rng(hp.seed, t)
         boot = rng.integers(0, len(data), size=len(data))
-        nodes = []
-
-        def grow(samples):
-            counts = [sum(s.label is c for s in samples) for c in CLASS_ORDER]
-            best = None
-            if max(counts) < len(samples):
-                node = ds([(s.features.counts, s.label) for s in samples])
-                for f in sorted(rng.choice(d, size=m, replace=False).tolist()):
+        root = {"samples": [data.samples[i] for i in boot.tolist()]}
+        level = [root]
+        while level:
+            impure = [node for node in level if len({s.label for s in node["samples"]}) > 1]
+            children = []
+            for node, keys in zip(impure, rng.random((len(impure), d))):
+                samples = node["samples"]
+                subset = ds([(s.features.counts, s.label) for s in samples])
+                best = None
+                for f in sorted(np.argsort(keys, kind="stable")[:m].tolist()):
                     values = sorted({s.features.counts[f] for s in samples})
                     for lo, hi in zip(values, values[1:]):
-                        gain = information_gain(node, f, (lo + hi) / 2)
+                        gain = information_gain(subset, f, (lo + hi) / 2)
                         if gain > (best[0] if best else 0.0):
                             best = (gain, f, (lo + hi) / 2)
-            if best is None:
-                nodes.append(("l", *(c / len(samples) for c in counts)))
-                return
-            _, f, threshold = best
-            nodes.append(("s", f, threshold))
-            grow([s for s in samples if s.features.counts[f] <= threshold])
-            grow([s for s in samples if s.features.counts[f] > threshold])
+                if best is not None:
+                    _, f, threshold = best
+                    node["split"] = (f, threshold)
+                    goes_left = [s.features.counts[f] <= threshold for s in samples]
+                    node["left"] = {"samples": [s for s, g in zip(samples, goes_left) if g]}
+                    node["right"] = {"samples": [s for s, g in zip(samples, goes_left) if not g]}
+                    children += [node["left"], node["right"]]
+            level = children
 
-        grow([data.samples[i] for i in boot.tolist()])
-        trees.append(Tree.from_nodes(nodes, d))
+        def preorder(node):
+            if "split" in node:
+                return [("s", *node["split"])] + preorder(node["left"]) + preorder(node["right"])
+            counts = [sum(s.label is c for s in node["samples"]) for c in CLASS_ORDER]
+            return [("l", *(c / len(node["samples"]) for c in counts))]
+
+        trees.append(Tree.from_nodes(preorder(root), d))
     return RandomForestModel(tuple(trees), hp, d, data.reference_fingerprint)
 
 
@@ -410,6 +420,48 @@ def test_row_cap_of_one_scores_each_node_alone(monkeypatch):
     monkeypatch.setattr(forest, "ROW_CAP", 1)
     alone = dumps_model(train_forest(data, hp))
     assert alone == batched == dumps_model(reference_forest(data, hp))
+
+
+def test_first_two_levels_draw_pinned_candidates():
+    # literal lists, so a stream or sort change between numpy versions shows as a readable diff
+    rng = np.random.default_rng(3)
+    X = rng.integers(0, 6, size=(40, 16))
+    y = (X[:, 0] + X[:, 5] + X[:, 9]) % 3
+    data = ds([(tuple(row), CLASS_ORDER[c]) for row, c in zip(X.tolist(), y.tolist())])
+    tree = train_forest(data, Hyperparams(n_trees=1, seed=4)).trees[0]
+    stream = tree_rng(4, 0)
+    stream.integers(0, 40, size=40)  # the bootstrap
+    m = 4  # ceil(sqrt(16))
+    levels = [
+        [sorted(np.argsort(keys, kind="stable")[:m].tolist()) for keys in stream.random((k, 16))]
+        for k in (1, 2)  # the root, then both of its children, which are impure
+    ]
+    assert levels == [[[3, 8, 9, 14]], [[3, 6, 9, 15], [3, 5, 12, 14]]]
+    root, left, right = tree.nodes[0], tree.nodes[1], tree.nodes[tree.right[0]]
+    assert root[0] == left[0] == right[0] == "s"
+    assert root[1] in levels[0][0] and left[1] in levels[1][0] and right[1] in levels[1][1]
+
+
+def tree_depth(tree):
+    deepest, stack = 0, [(0, 0)]
+    while stack:
+        i, depth = stack.pop()
+        deepest = max(deepest, depth)
+        if tree.nodes[i][0] == "s":
+            stack += [(i + 1, depth + 1), (tree.right[i], depth + 1)]
+    return deepest
+
+
+def test_growing_a_tree_hundreds_of_levels_deep():
+    # 400 values of one feature, 20 rows each, with alternating labels: the best
+    # split always peels one value off an end, so a tree grows as a chain
+    rows = [((v,), (T, R)[v % 2]) for v in range(400) for _ in range(20)]
+    model = train_forest(ds(rows), Hyperparams(n_trees=1, seed=0))
+    [tree] = model.trees
+    assert tree_depth(tree) >= 300
+    assert Tree.from_nodes(list(tree.nodes), 1) == tree
+    assert loads_model(dumps_model(model)) == model
+    assert all(predict(model, fv(v)) is (T, R)[v % 2] for v in range(400))
 
 
 # -- prediction ----------------------------------------------------------------------

@@ -50,9 +50,9 @@ GOLDEN_STDOUT = {
     ),
     "eval-obfuscation-apk-class-encryption": (
         0,
-        "class-encryption\tbaseline\tdetection_rate=0.8750\n"
+        "class-encryption\tbaseline\tdetection_rate=1.0000\n"
         "report written to <tmp>/obfuscation-apk/obfuscation_class_encryption_baseline.json\n"
-        "class-encryption\tplus_one\tdetection_rate=0.8750\n"
+        "class-encryption\tplus_one\tdetection_rate=0.6250\n"
         "report written to <tmp>/obfuscation-apk/obfuscation_class_encryption_plus_one.json\n"
     ),
     "eval-obfuscation-apk-resource-encryption": (
@@ -71,16 +71,16 @@ GOLDEN_STDOUT = {
     ),
     "eval-random": (
         0,
-        "malware_vs_benign:auc\tmean=0.9975\tstd=0.0035\n"
+        "malware_vs_benign:auc\tmean=0.9994\tstd=0.0009\n"
         "malware_vs_benign:tpr_at_0.01_fpr\tmean=0.9750\tstd=0.0354\n"
-        "ransomware_vs_benign:auc\tmean=0.9931\tstd=0.0097\n"
-        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9250\tstd=0.1061\n"
+        "ransomware_vs_benign:auc\tmean=0.9994\tstd=0.0009\n"
+        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9750\tstd=0.0354\n"
         "report written to <tmp>/random/random_split_report.json\n"
     ),
     "eval-temporal": (
         0,
-        "bin=jan-sep\tn=12\tdetection_rate=0.9167\n"
-        "bin=oct\tn=12\tdetection_rate=0.6667\n"
+        "bin=jan-sep\tn=12\tdetection_rate=0.8333\n"
+        "bin=oct\tn=12\tdetection_rate=0.4167\n"
         "bin=dec\tn=0\tdetection_rate=n/a (empty)\n"
         "report written to <tmp>/temporal-out/temporal_report.json\n"
     ),
@@ -93,16 +93,16 @@ GOLDEN_STDOUT = {
     ),
     "eval-random-csv": (
         0,
-        "malware_vs_benign:auc\tmean=0.9975\tstd=0.0035\n"
+        "malware_vs_benign:auc\tmean=0.9994\tstd=0.0009\n"
         "malware_vs_benign:tpr_at_0.01_fpr\tmean=0.9750\tstd=0.0354\n"
-        "ransomware_vs_benign:auc\tmean=0.9931\tstd=0.0097\n"
-        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9250\tstd=0.1061\n"
+        "ransomware_vs_benign:auc\tmean=0.9994\tstd=0.0009\n"
+        "ransomware_vs_benign:tpr_at_0.01_fpr\tmean=0.9750\tstd=0.0354\n"
         "report written to <tmp>/random/random_split_report.csv\n"
     ),
     "eval-temporal-csv": (
         0,
-        "bin=jan-sep\tn=12\tdetection_rate=0.9167\n"
-        "bin=oct\tn=12\tdetection_rate=0.6667\n"
+        "bin=jan-sep\tn=12\tdetection_rate=0.8333\n"
+        "bin=oct\tn=12\tdetection_rate=0.4167\n"
         "bin=dec\tn=0\tdetection_rate=n/a (empty)\n"
         "report written to <tmp>/temporal-out/temporal_report.csv\n"
     ),
@@ -117,12 +117,12 @@ GOLDEN_STDOUT = {
         "classes\ttrusted,malware,ransomware\n"
         "reference_fingerprint\tea0efc1f170e80a8\n"
         "feature_dim\t12\n"
-        "n_trees\t5\n"
+        "n_trees\t10\n"
         "max_depth\tNone\n"
         "min_samples_leaf\t1\n"
         "features_per_split\tNone\n"
         "seed\t7\n"
-        "total_nodes\t85\n"
+        "total_nodes\t126\n"
     ),
     "rank": (
         0,
@@ -138,36 +138,36 @@ GOLDEN_STDOUT = {
     ),
     "scan-apk": (
         11,
-        "<tmp>/r0000.apk\transomware\ttrusted=0.0000\tmalware=0.2000\transomware=0.8000\n"
-        "  feature\tandroid/telephony\tcount=3\tmodel_splits=7\n"
-        "  feature\tjavax/crypto\tcount=5\tmodel_splits=6\n"
-        "  feature\tandroid/app\tcount=1\tmodel_splits=5\n"
-        "  feature\tandroid/widget\tcount=2\tmodel_splits=5\n"
-        "  feature\tjava/io\tcount=14\tmodel_splits=5\n"
+        "<tmp>/r0000.apk\transomware\ttrusted=0.0000\tmalware=0.1000\transomware=0.9000\n"
+        "  feature\tandroid/telephony\tcount=3\tmodel_splits=14\n"
+        "  feature\tandroid/app/admin\tcount=4\tmodel_splits=8\n"
+        "  feature\tandroid/widget\tcount=2\tmodel_splits=8\n"
+        "  feature\tjava/io\tcount=14\tmodel_splits=7\n"
+        "  feature\tjavax/crypto\tcount=5\tmodel_splits=7\n"
     ),
     "scan-fixture": (
         10,
-        "<tmp>/corpus/t0000.txt\ttrusted\ttrusted=0.8000\tmalware=0.0000\transomware=0.2000\n"
-        "  feature\tjavax/crypto\tcount=1\tmodel_splits=6\n"
-        "  feature\tandroid/app\tcount=2\tmodel_splits=5\n"
-        "  feature\tandroid/widget\tcount=8\tmodel_splits=5\n"
-        "<tmp>/corpus/m0000.txt\tmalware\ttrusted=0.0000\tmalware=1.0000\transomware=0.0000\n"
-        "  feature\tandroid/telephony\tcount=5\tmodel_splits=7\n"
-        "  feature\tjavax/crypto\tcount=4\tmodel_splits=6\n"
-        "  feature\tandroid/app\tcount=1\tmodel_splits=5\n"
+        "<tmp>/corpus/t0000.txt\ttrusted\ttrusted=1.0000\tmalware=0.0000\transomware=0.0000\n"
+        "  feature\tandroid/widget\tcount=8\tmodel_splits=8\n"
+        "  feature\tjava/io\tcount=3\tmodel_splits=7\n"
+        "  feature\tjavax/crypto\tcount=1\tmodel_splits=7\n"
+        "<tmp>/corpus/m0000.txt\tmalware\ttrusted=0.0000\tmalware=0.9000\transomware=0.1000\n"
+        "  feature\tandroid/telephony\tcount=5\tmodel_splits=14\n"
+        "  feature\tandroid/widget\tcount=3\tmodel_splits=8\n"
+        "  feature\tjava/io\tcount=3\tmodel_splits=7\n"
     ),
     "train": (
         0,
-        "n_trees=5\tcv_accuracy=0.9667\n"
-        "n_trees=10\tcv_accuracy=0.9583\n"
-        "chosen n_trees=5\n"
+        "n_trees=5\tcv_accuracy=0.9750\n"
+        "n_trees=10\tcv_accuracy=0.9917\n"
+        "chosen n_trees=10\n"
         "model written to <tmp>/model.json (fingerprint ea0efc1f170e80a8)\n"
     ),
 }
 
 GOLDEN_SHA256 = {
     "features.csv": "c9d8ee0109a86d71da3fd0bb6e8d679bf2d12c4dac3d08cf950154f967bdbaa5",
-    "model.json": "f1c17ff8b33ade37dba6b06b03872989071da453788efab75ee4d32639b90889",
+    "model.json": "c8bceb01222aa8555bc93504339d59ba24208c1f740ac10590cd1c536a2ba795",
     "obfuscation/obfuscation_class_encryption_baseline.csv": (
         "8d8f6ba2d8d1308c4065a90bc1ce9a04c3e8b7d4566049bc8d43cc6f430cfa87"
     ),
@@ -181,10 +181,10 @@ GOLDEN_SHA256 = {
         "064562b6079f82b695ef06263867e40a3643d71c0ec04ad8ac441aa2f0a169d7"
     ),
     "obfuscation-apk/obfuscation_class_encryption_baseline.json": (
-        "e82d22c04cc72dc0bebce0522c2eebd565c2e02406b62495973f79c5b2bdb3c0"
+        "0ab8cbc4f49a746fcf9b5d32cfb2f1a91313fad3d59ab822fbf10cd354d76cd9"
     ),
     "obfuscation-apk/obfuscation_class_encryption_plus_one.json": (
-        "d9904af3771a137ab3d65a6a889ea0c4a78364924e7479db0a20b2a66ef6904b"
+        "ba8ec67ffa19d22ef31c947fcdfe9233b3595d3e127896f12ccbe469a5a78e26"
     ),
     "obfuscation-apk/obfuscation_resource_encryption_baseline.json": (
         "adc2469d1b816a041a0ef470e9f08e782b143983bacf28898cdc291e7de6ac5f"
@@ -199,16 +199,16 @@ GOLDEN_SHA256 = {
         "10ae89d8e7ea758c868fd3db8468ec764b2bdb3311afc6675249221f1d769098"
     ),
     "random/random_split_report.csv": (
-        "a705bfacb5b3ce9d34e84d87b46c0c9bdda0269c4f93cbc2582e93949d644930"
+        "e767ee7af859d10064af8e1281a5e090600bf402ef46b1faab76e5f52541a42b"
     ),
     "random/random_split_report.json": (
-        "6c94ac4eaa1883b9443e23a0247b650afa4bdfcee60922dc6e7ad76600d366ea"
+        "48c27ac4bc8b6d81abf0e064cabc702532c649d0709c2755679c57a372a47c0b"
     ),
     "temporal-out/temporal_report.csv": (
-        "aff0deeac556cde5bdccdd22088957a8eec6aa45bdb92a8d04b03ad33ffcc12d"
+        "23db3804af75787a6645f5ea0953d5efd95e08d693a8874d4c887876cf18b241"
     ),
     "temporal-out/temporal_report.json": (
-        "8e92d9944bef4f70aa4fc24cdc9f8d7a57ae7cfe3adbad9f29e04046d82199d5"
+        "9b02e7ee876da4457cfcf0a56723e6a07f9839426d3041ac9e3a63aea801925a"
     ),
 }
 
