@@ -399,6 +399,7 @@ def _class_items(
         except StructuralError:
             pass
     class_items = []
+    seen = set()
     for record in struct.iter_unpack("<8I", class_defs):
         class_idx, class_data_off = record[0], record[6]
         if class_idx >= type_ids_size:
@@ -408,6 +409,9 @@ def _class_items(
             continue
         if class_data_off >= len(blob):
             raise StructuralError(f"class_data_off {class_data_off} out of bounds")
+        if class_data_off in seen:
+            raise StructuralError(f"class_data_off {class_data_off} shared by two class_defs")
+        seen.add(class_data_off)
         code_offs = _read_class_data(blob, class_data_off, method_ids_size)
         class_items.append(ClassItem(class_idx, code_offs))
     return tuple(class_items)
@@ -424,10 +428,11 @@ def _class_data_batched(
     decodes the dex again with the scalar code, which raises the first
     fault in class order.
     """
-    if (class_idx >= type_ids_size).any() or (class_data_off >= len(blob)).any():
-        raise StructuralError("class_def out of range")
-    code_offs: list[tuple[int, ...]] = [()] * len(class_idx)
     has_data = np.flatnonzero(class_data_off)
+    shared = not np.diff(np.sort(class_data_off[has_data])).all()  # sorted; np.unique would hash
+    if shared or (class_idx >= type_ids_size).any() or (class_data_off >= len(blob)).any():
+        raise StructuralError("class_def out of range or sharing a class_data item")
+    code_offs: list[tuple[int, ...]] = [()] * len(class_idx)
     if not len(has_data):
         return code_offs
     data = np.frombuffer(blob, np.uint8)

@@ -46,8 +46,7 @@ from .forest import (
     best_grid_value,
     cv_accuracy_table,
     derive_seed,
-    predict,
-    predict_proba,
+    predict_probas,
     shuffled_by_class,
     train_forest,
 )
@@ -166,14 +165,9 @@ def roc_one_vs_benign(
     """ROC over {positive_class} union {Trusted}; the third class is excluded."""
     if positive_class not in (Label.Ransomware, Label.GenericMalware):
         raise ValueError(f"positive class must be a malicious class, got {positive_class}")
-    pos_idx = CLASS_INDEX[positive_class]
-    scores: list[float] = []
-    positive: list[bool] = []
-    for s in test:
-        if s.label is positive_class or s.label is Label.Trusted:
-            scores.append(predict_proba(model, s.features)[pos_idx])
-            positive.append(s.label is positive_class)
-    return roc_from_scores(scores, positive)
+    rows = [s for s in test if s.label is positive_class or s.label is Label.Trusted]
+    scores = predict_probas(model, [s.features for s in rows])[:, CLASS_INDEX[positive_class]]
+    return roc_from_scores(scores, [s.label is positive_class for s in rows])
 
 
 def operating_point(curve: RocCurve, target_fpr: float = 0.01) -> float:
@@ -461,9 +455,8 @@ def temporal_eval(
             logger.warning("temporal bin %r is empty", label)
             results.append(BinResult(label, start, end, 0, 0, None, True))
             continue
-        detected = sum(
-            1 for s in members if predict_proba(model, s.features)[pos_idx] >= threshold
-        )
+        scores = predict_probas(model, [s.features for s in members])[:, pos_idx]
+        detected = int(np.count_nonzero(scores >= threshold))
         results.append(
             BinResult(label, start, end, len(members), detected, detected / len(members), False)
         )
@@ -532,7 +525,8 @@ def obfuscation_eval(
         )
     train = LabeledDataset(train_rows)
     model = train_forest(train, Hyperparams(n_trees=n_trees, seed=derive_seed(seed, 29)))
-    detected = sum(1 for fv in transformed.values() if predict(model, fv) is Label.Ransomware)
+    labels = predict_probas(model, list(transformed.values())).argmax(axis=1)
+    detected = int(np.count_nonzero(labels == CLASS_INDEX[Label.Ransomware]))
     return ObfuscationReport(
         protocol="obfuscation",
         tool_version=__version__,
@@ -687,7 +681,7 @@ def load_manifest(path) -> list[ManifestRow]:
     rows: list[ManifestRow] = []
     seen: set[str] = set()
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             required = {"path", "label"}
             if reader.fieldnames is None or not required.issubset(reader.fieldnames):

@@ -46,6 +46,10 @@ iff counts[feature] <= threshold, and a leaf is ("l", p0, p1, p2), the class
 distribution of the training samples that reached it. Every pass over a tree
 is a loop over that list, so tree depth is bounded by memory, not by the
 interpreter's recursion limit.
+
+Scoring has one evaluator, _prefix_means: a row's score over the first v
+trees is the mean of the leaves it reaches, for each v that CV asks and for
+v = all trees in predict_probas; label_of takes the first maximum.
 """
 
 from __future__ import annotations
@@ -539,33 +543,32 @@ def _check_vector(model: RandomForestModel, fv: FeatureVector) -> None:
             f"vector {fv.reference_fingerprint} vs model {model.reference_fingerprint}"
         )
     if len(fv.counts) != model.feature_dim:
-        raise FingerprintMismatch(
-            f"vector dim {len(fv.counts)} vs model dim {model.feature_dim}"
-        )
+        raise FingerprintMismatch(f"vector dim {len(fv.counts)} vs model dim {model.feature_dim}")
+
+
+def _prefix_means(trees: Sequence[Tree], rows: list, sizes: Sequence[int]) -> np.ndarray:
+    """[i, j]: row i's mean leaf class distribution over the first sizes[j]
+    trees, by a cumsum over trees that adds its leaves in tree order."""
+    leaves = np.array([[_walk(tree, x)[1:] for tree in trees] for x in rows])
+    leaves = leaves.reshape(len(rows), len(trees), N_CLASSES)  # also for no rows
+    return leaves.cumsum(axis=1)[:, [v - 1 for v in sizes]] / np.array(sizes)[:, None]
+
+
+def predict_probas(model: RandomForestModel, vectors: Sequence[FeatureVector]) -> np.ndarray:
+    """Each vector's mean leaf class distribution over all trees, one row each."""
+    for fv in vectors:
+        _check_vector(model, fv)
+    return _prefix_means(model.trees, [fv.counts for fv in vectors], [len(model.trees)])[:, 0]
 
 
 def predict_proba(model: RandomForestModel, fv: FeatureVector) -> tuple[float, float, float]:
-    """Mean of the leaf class distributions reached across all trees."""
-    _check_vector(model, fv)
-    x = fv.counts
-    s0 = s1 = s2 = 0.0
-    for tree in model.trees:
-        leaf = _walk(tree, x)
-        s0 += leaf[1]
-        s1 += leaf[2]
-        s2 += leaf[3]
-    k = len(model.trees)
-    return (s0 / k, s1 / k, s2 / k)
+    """predict_probas of the one vector fv."""
+    return tuple(predict_probas(model, [fv])[0].tolist())
 
 
 def label_of(probs: Sequence[float]) -> Label:
     """Argmax of a class-probability triple; ties break by class order."""
-    return CLASS_ORDER[max(range(N_CLASSES), key=probs.__getitem__)]
-
-
-def predict(model: RandomForestModel, fv: FeatureVector) -> Label:
-    """Argmax of predict_proba; ties break by class order."""
-    return label_of(predict_proba(model, fv))
+    return CLASS_ORDER[int(np.argmax(probs))]
 
 
 # -- model selection and ranking ----------------------------------------------
@@ -606,10 +609,8 @@ def cv_accuracy_table(
     """Mean stratified-CV accuracy per grid value.
 
     Fold k's training partition grows one forest of max(grid) trees, seeded
-    derive_seed(seed, k). Each held-out row walks every tree once, and the
-    cumsum of its leaf distributions over trees adds them in predict_proba's
-    order: prefix v over v is predict_proba of the first v trees, and its
-    argmax (ties to the first class) is predict. Folds whose training
+    derive_seed(seed, k), and one _prefix_means call scores its held-out rows
+    for every grid value, each labelled as label_of does. Folds whose training
     partition degenerates to a single class are skipped from the average.
     """
     if n_folds < 2:
@@ -630,10 +631,9 @@ def cv_accuracy_table(
             continue
         train = data.subset(np.flatnonzero(~in_fold).tolist())
         trees = train_forest(train, Hyperparams(values[-1], derive_seed(seed, k))).trees
-        leaves = np.array([[_walk(tree, x)[1:] for tree in trees] for x in X[in_fold].tolist()])
-        probs = leaves.cumsum(axis=1)[:, [v - 1 for v in values]] / np.array(values)[:, None]
+        probs = _prefix_means(trees, X[in_fold].tolist(), values)
         hits = (probs.argmax(axis=2) == y[in_fold][:, None]).sum(axis=0)
-        accs.append([h / len(leaves) for h in hits.tolist()])
+        accs.append([h / len(probs) for h in hits.tolist()])
     if not accs:
         raise TooFewSamples("no usable CV fold")
     return {v: sum(a) / len(a) for v, a in zip(values, zip(*accs))}

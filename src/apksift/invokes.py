@@ -146,9 +146,10 @@ def load_invoke_list_text(path) -> list[InvokeSite]:
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedLine(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}") from None
+        text = data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:  # exc.object and exc.start skip the BOM
+        line_no = exc.object.count(b"\n", 0, exc.start) + 1
+        raise MalformedLine(line_no, f"not UTF-8: {exc}") from None
     return loads_invoke_list(text)
 
 

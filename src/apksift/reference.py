@@ -130,7 +130,7 @@ def load_reference(path, expected: Granularity | None = None) -> ApiReferenceLis
     GranularityMismatch; with ``expected=None`` the header is trusted.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.read().splitlines()
     except UnicodeDecodeError as exc:
         raise GranularityMismatch(f"{path}: {exc}") from exc

@@ -297,6 +297,30 @@ def tracemalloc_peak(fn):
         tracemalloc.stop()
 
 
+def assert_peak_within_8x(peak: int, size: int, what: str) -> None:
+    """Fail unless ``peak`` bytes are at most 8x the ``size`` of the input;
+    print the share of that bound used, so -rP logs show the headroom."""
+    bound = 8 * size
+    print(f"peak {peak:,} bytes for a {size:,}-byte {what}: {peak / bound:.1%} of the 8x bound")
+    assert peak <= bound, f"{peak:,} bytes for a {size:,}-byte {what}"
+
+
+def shared_class_data_dex(n_classes: int, n_methods: int) -> tuple[bytes, int]:
+    """A dex whose n_classes class_defs all name one class_data item of
+    n_methods methods, and that item's offset. No valid dex shares an item."""
+    builder = DexBuilder()
+    methods = [MethodDef(f"m{k}", "()V", [ins_return_void()]) for k in range(n_methods)]
+    builder.add_class("com/app/C0", methods)
+    for c in range(1, n_classes):
+        builder.add_class(f"com/app/C{c}", [])
+    blob = bytearray(builder.build())
+    slots = range(struct.unpack_from("<I", blob, 100)[0] + 24, len(blob), 32)[:n_classes]
+    [item] = [off for off in (struct.unpack_from("<I", blob, at)[0] for at in slots) if off]
+    for at in slots:
+        struct.pack_into("<I", blob, at, item)
+    return bytes(blob), item
+
+
 # -- apks that zipfile cannot read ---------------------------------------------
 
 CORRUPT_ZIPS = [

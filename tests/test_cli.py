@@ -1,5 +1,6 @@
 """Command-line surface: exit-code taxonomy, determinism, stream hygiene."""
 
+import codecs
 import csv
 import io
 import json
@@ -39,12 +40,14 @@ from apksift.synth import (
 from conftest import (
     CORRUPT_ZIPS,
     TYPE_LIST_FAULTS,
+    assert_peak_within_8x,
     build_single_method_dex,
     chain_model_doc,
     corrupt_apk_bytes,
     locker_body,
     mixed_caller_dex,
     non_ascii_dex,
+    shared_class_data_dex,
     tracemalloc_peak,
     with_bad_type_list,
     with_overlong_method_name,
@@ -301,7 +304,7 @@ def test_scan_memory_in_proportion_to_the_dex(workspace, tmp_path, capsys, kind,
     rc, peak = tracemalloc_peak(lambda: main(argv))
     assert rc in (0, 10, 11)
     assert "error:" not in capsys.readouterr().err
-    assert peak <= 8 * len(blob), f"{peak:,} bytes for a {len(blob):,}-byte dex"
+    assert_peak_within_8x(peak, len(blob), "dex")
 
 
 @pytest.mark.parametrize("g", list(Granularity))
@@ -311,7 +314,7 @@ def test_features_memory_in_proportion_to_the_dex(g):
     ref = make_reference(g, [key_of(_OWNER, "m0", g)])
     fv, peak = tracemalloc_peak(lambda: features_from_dex_blobs([blob], ref))
     assert fv.counts == ((1,) if g is Granularity.Method else (4000,))
-    assert peak <= 8 * len(blob), f"{peak:,} bytes for a {len(blob):,}-byte dex"
+    assert_peak_within_8x(peak, len(blob), "dex")
 
 
 def _overlapping_string_dex(kind):
@@ -347,7 +350,27 @@ def test_scan_overlapping_string_data_exit_3(workspace, tmp_path, capsys, kind, 
     assert re.fullmatch(
         r"error: StructuralError: string data at \d+ overlaps other strings\n", captured.err
     )
-    assert peak <= 8 * len(blob), f"{peak:,} bytes for a {len(blob):,}-byte dex"
+    assert_peak_within_8x(peak, len(blob), "dex")
+
+
+def test_scan_shared_class_data_exit_3(workspace, tmp_path, capsys):
+    # decoded once per class_def, one item of 200 methods named by 2,001 of
+    # them would cost memory in proportion to classes x methods
+    blob, item = shared_class_data_dex(2001, 200)
+    apk = tmp_path / "shared.apk"
+    write_apk(apk, [blob])
+    _, ref_path = workspace["refs"][Granularity.Package]
+    argv = ["scan", str(apk), "--model", str(workspace["model"]), "--reference", str(ref_path)]
+    main(argv)  # outside the window: the first scan of a process pays one-time costs
+    capsys.readouterr()
+    rc, peak = tracemalloc_peak(lambda: main(argv))
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: StructuralError: class_data_off {item} shared by two class_defs\n"
+    )
+    assert_peak_within_8x(peak, len(blob), "dex")
 
 
 def test_scan_missing_file_exit_3(workspace, tmp_path, capsys):
@@ -649,6 +672,41 @@ def test_scan_non_utf8_fixture_exit_3(workspace, tmp_path, capsys):
     assert rc == 3
     assert err.startswith("error: MalformedLine: line 2: not UTF-8")
     assert err.count("\n") == 1
+
+
+def test_scan_non_utf8_fixture_after_a_bom_names_its_line(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(codecs.BOM_UTF8 + b"# fixture\n\xff\n")  # the bad byte right after a newline
+    _, ref_path = workspace["refs"][Granularity.Package]
+    rc = main(["scan", str(bad), "--model", str(workspace["model"]), "--reference", str(ref_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: MalformedLine: line 2: not UTF-8")
+
+
+@pytest.mark.parametrize("kind", ["manifest", "reference", "invoke-list"])
+def test_leading_utf8_bom_changes_nothing(workspace, tmp_path, capsys, kind):
+    corpus = Path(workspace["manifest"]).parent
+    model, (_, ref_path) = str(workspace["model"]), workspace["refs"][Granularity.Package]
+    if kind == "manifest":
+        path = tmp_path / "m.csv"
+        text = "path,label\n" + "".join(
+            f"{corpus / name},{label}\n" for name, label in [("t0000.txt", "trusted"),
+                                                             ("r0000.txt", "ransomware")]
+        )
+        argv = ["extract", "--manifest", str(path), "--reference", str(ref_path),
+                "--out-csv", str(tmp_path / "f.csv")]
+    elif kind == "reference":
+        path, text = tmp_path / "p.ref", ref_path.read_text()
+        argv = ["scan", str(corpus / "r0000.txt"), "--model", model, "--reference", str(path)]
+    else:
+        path, text = tmp_path / "sample.txt", (corpus / "r0000.txt").read_text()
+        argv = ["scan", str(path), "--model", model, "--reference", str(ref_path)]
+    outcomes = []
+    for head in ("", "\ufeff"):
+        path.write_text(head + text, encoding="utf-8")
+        outcomes.append((main(argv), capsys.readouterr().out))
+    assert outcomes[1] == outcomes[0]
+    assert outcomes[0][0] in (0, 10, 11) and outcomes[0][1]
 
 
 def test_extract_skips_non_utf8_fixture(workspace, tmp_path, capsys):

@@ -57,6 +57,7 @@ from conftest import (
     TYPE_LIST_FAULTS,
     build_single_method_dex,
     non_ascii_dex,
+    shared_class_data_dex,
     with_bad_type_list,
     with_overlong_type_name,
 )
@@ -174,6 +175,7 @@ def _uleb_wide(value, width):
 _TYPES, _METHODS, _CLASS_DATA_AT = 8, 64, 1 << 12
 _CLASS_DATA_FAULTS = [
     "overlong", "method-index", "code_off", "cut", "class_def-type-index", "class_data_off",
+    "shared",
 ]
 
 
@@ -206,25 +208,20 @@ def _class_data_item(draw, fault):
 
 @st.composite
 def _class_defs(draw):
-    """(blob, class_idx, class_data_off) of 1-40 class_defs, some sharing a
-    class_data item and some with none, and at most one fault."""
+    """(blob, class_idx, class_data_off) of 1-40 class_defs, each with a
+    class_data item of its own or none, and at most one fault; the "shared"
+    fault points one class_def at another's item."""
     fault = draw(st.sampled_from([None, *_CLASS_DATA_FAULTS]))
-    items = draw(st.lists(_class_data_item(None), min_size=1, max_size=8))
-    items.append(draw(_class_data_item(fault)))
-    offsets, blob = [], bytes(_CLASS_DATA_AT)
-    for item in items:
-        offsets.append(len(blob))
-        blob += item
-    if fault == "cut":
-        blob = blob[: len(blob) - draw(st.integers(1, len(items[-1])))]
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(2 if fault == "shared" else 1, 40))
     class_idx = draw(st.lists(st.integers(0, _TYPES - 1), min_size=n, max_size=n))
-    class_data_off = [
-        0 if k is None else offsets[k]
-        for k in draw(st.lists(st.one_of(st.none(), st.integers(0, len(items) - 1)),
-                               min_size=n, max_size=n))
-    ]
-    class_data_off[draw(st.integers(0, n - 1))] = offsets[-1]  # the faulty item
+    owners = draw(st.lists(st.integers(0, n - 1), max_size=8, unique=True))
+    last = draw(st.integers(0, n - 1))  # owns the last item in the blob, the faulty one
+    class_data_off, blob = [0] * n, bytes(_CLASS_DATA_AT)
+    for k in [k for k in owners if k != last] + [last]:
+        class_data_off[k] = len(blob)
+        blob += draw(_class_data_item(fault if k == last else None))
+    if fault == "cut":
+        blob = blob[: len(blob) - draw(st.integers(1, len(blob) - class_data_off[last]))]
     if fault is None and draw(st.integers(0, 9)) == 0:
         class_data_off = [0] * n  # no class has methods
     at = draw(st.integers(0, n - 1))
@@ -232,6 +229,9 @@ def _class_defs(draw):
         class_idx[at] = _TYPES
     elif fault == "class_data_off":
         class_data_off[at] = len(blob) + draw(st.integers(0, 3))
+    elif fault == "shared":
+        other = draw(st.integers(0, n - 1).filter(lambda k: k != last))
+        class_data_off[other] = class_data_off[last]
     return blob, np.array(class_idx, "<u4"), np.array(class_data_off, "<u4")
 
 
@@ -545,6 +545,15 @@ def test_valid_dex_never_falls_back_to_the_scalar_decode(seed, monkeypatch):
     monkeypatch.setattr(dex_module, "CLASS_BATCH_MIN", 1)
     monkeypatch.setattr(dex_module, "_read_class_data", forbidden)
     assert parse_dex(blob).class_items == scalar
+
+
+def test_shared_class_data_item_raises_through_both_decoders(monkeypatch):
+    blob, item = shared_class_data_dex(300, 5)
+    for batch_min in (dex_module.CLASS_BATCH_MIN, 10**9):  # batched, then scalar alone
+        monkeypatch.setattr(dex_module, "CLASS_BATCH_MIN", batch_min)
+        with pytest.raises(StructuralError) as info:
+            parse_dex(blob)
+        assert str(info.value) == f"class_data_off {item} shared by two class_defs"
 
 
 # -- invoke extraction -----------------------------------------------------------

@@ -33,7 +33,8 @@ from apksift.forest import (
     LabeledSample,
     RandomForestModel,
     Tree,
-    predict,
+    label_of,
+    predict_proba,
     stratified_folds,
     train_forest,
 )
@@ -414,7 +415,7 @@ def test_obfuscation_identity_equals_in_training_recall():
     train = dataset_from_invoke_samples(samples, ref)
     model = train_forest(train, Hyperparams(n_trees=15, seed=derive_seed(6, 29)))
     ransom = [s for s in train if s.label is R]
-    recall = sum(1 for s in ransom if predict(model, s.features) is R) / len(ransom)
+    recall = sum(label_of(predict_proba(model, s.features)) is R for s in ransom) / len(ransom)
     assert report.detection_rate == recall
 
 

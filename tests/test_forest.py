@@ -3,6 +3,7 @@ persistence, and the exhaustive split-search oracle."""
 
 import hashlib
 import math
+from dataclasses import replace
 from datetime import date
 
 import numpy as np
@@ -40,7 +41,6 @@ from apksift.forest import (
     label_of,
     load_model,
     loads_model,
-    predict,
     predict_proba,
     rank_features,
     save_model,
@@ -266,7 +266,7 @@ def test_depth_zero_single_leaf_prior():
 def test_training_accuracy_on_separable_toy():
     data = ds(separable_rows(10))
     model = train_forest(data, Hyperparams(n_trees=15, seed=3))
-    hits = sum(1 for s in data if predict(model, s.features) is s.label)
+    hits = sum(1 for s in data if label_of(predict_proba(model, s.features)) is s.label)
     assert hits == len(data)
 
 
@@ -461,7 +461,7 @@ def test_growing_a_tree_hundreds_of_levels_deep():
     assert tree_depth(tree) >= 300
     assert Tree.from_nodes(list(tree.nodes), 1) == tree
     assert loads_model(dumps_model(model)) == model
-    assert all(predict(model, fv(v)) is (T, R)[v % 2] for v in range(400))
+    assert all(label_of(predict_proba(model, fv(v))) is (T, R)[v % 2] for v in range(400))
 
 
 # -- prediction ----------------------------------------------------------------------
@@ -488,10 +488,9 @@ def test_two_tree_averaging():
 
 
 def test_predict_argmax_and_ties():
-    assert predict(manual_model((0.5, 0.2, 0.3)), fv(0, 0)) is T
-    assert predict(manual_model((0.5, 0.5, 0.0)), fv(0, 0)) is T
-    assert predict(manual_model((0.0, 0.5, 0.5)), fv(0, 0)) is M
-    assert predict(manual_model((0.1, 0.2, 0.7)), fv(0, 0)) is R
+    for leaf, label in [((0.5, 0.2, 0.3), T), ((0.5, 0.5, 0.0), T), ((0.0, 0.5, 0.5), M),
+                        ((0.1, 0.2, 0.7), R)]:
+        assert label_of(predict_proba(manual_model(leaf), fv(0, 0))) is label
 
 
 @pytest.mark.parametrize(
@@ -523,6 +522,48 @@ def test_fingerprint_mismatch_on_predict():
         predict_proba(model, FeatureVector((1, 2, 3), FP))  # wrong dimension
 
 
+def per_tree_sum(model, x):
+    """The mean leaf distribution by the definition: walk each tree, add its
+    leaf to a running sum in tree order, divide by the number of trees."""
+    s0 = s1 = s2 = 0.0
+    for tree in model.trees:
+        i, node = 0, tree.nodes[0]
+        while node[0] == "s":
+            i = i + 1 if x[node[1]] <= node[2] else tree.right[i]
+            node = tree.nodes[i]
+        s0 += node[1]
+        s1 += node[2]
+        s2 += node[3]
+    k = len(model.trees)
+    return (s0 / k, s1 / k, s2 / k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.tuples(st.lists(st.integers(0, 6), min_size=3, max_size=3),
+                       st.sampled_from(CLASS_ORDER)), min_size=4, max_size=30),
+    st.integers(1, 8),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.lists(st.integers(0, 7), min_size=3, max_size=3), min_size=1, max_size=12),
+    st.data(),
+)
+def test_evaluator_matches_the_per_tree_sum(rows, n_trees, seed, queries, draw):
+    assume(len({label for _, label in rows}) >= 2)
+    model = train_forest(ds(rows), Hyperparams(n_trees, seed))
+    vectors = [fv(*x) for x in queries]
+    for x in vectors:
+        probs = predict_proba(model, x)
+        assert probs == per_tree_sum(model, x.counts)  # bit for bit
+        assert label_of(probs) is CLASS_ORDER[probs.index(max(probs))]
+    sizes = draw.draw(st.lists(st.integers(1, n_trees), min_size=1, max_size=4))
+    means = forest._prefix_means(model.trees, queries, sizes)
+    for j, v in enumerate(sizes):
+        prefix = replace(model, trees=model.trees[:v], hyperparams=Hyperparams(v, seed))
+        assert [tuple(row) for row in means[:, j].tolist()] == [
+            predict_proba(prefix, x) for x in vectors
+        ]
+
+
 # -- model selection --------------------------------------------------------------
 
 
@@ -550,7 +591,7 @@ def test_select_prefers_smaller_on_tie_and_matches_cv_table():
 def cv_reference(data, grid, seed, n_folds):
     """Each grid value's per-fold accuracies by the definition: on every fold
     whose training split holds two classes, a separate train_forest of v
-    trees seeded derive_seed(seed, k), scored with predict on the fold."""
+    trees seeded derive_seed(seed, k), scored with label_of on the fold."""
     _, y = data.to_arrays()
     fold_of = stratified_folds(y, n_folds, np.random.default_rng((seed, 101))).tolist()
     accs = {v: [] for v in grid}
@@ -561,7 +602,8 @@ def cv_reference(data, grid, seed, n_folds):
             continue
         for v in accs:
             model = train_forest(LabeledDataset(train), Hyperparams(v, derive_seed(seed, k)))
-            accs[v].append(sum(predict(model, s.features) is s.label for s in test) / len(test))
+            hits = sum(label_of(predict_proba(model, s.features)) is s.label for s in test)
+            accs[v].append(hits / len(test))
     return accs
 
 
