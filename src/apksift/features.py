@@ -9,6 +9,14 @@ A dex is counted per method index (``count_invoke_targets``), and each index
 goes into the vector as its feature key: ``key_of`` of its class path and
 name. The keys are streamed and none is kept, so memory does not grow with
 the number of methods invoked on one long class path.
+
+An invoke list is counted per distinct line (``invokes.count_invoke_list``):
+occurrences are summed per (class path, name), and each distinct target
+goes through ``key_of`` and into the vector once. The same pass sums the
+calls made from platform classes, for ``caller_split``'s second vector,
+asking ``is_user_implemented`` once per distinct caller. ``extract_features``
+counts InvokeSites the same way, for in-memory samples, the stub profiles
+and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .apk import open_apk
 from .dex import DexFile, count_invoke_targets, parse_dex
-from .invokes import InvokeSite, class_path_of, load_invoke_list_text
+from .invokes import InvokeSite, class_path_of, count_invoke_list
 from .obfuscation import ObfuscationKind, ObfuscationTransform, is_user_implemented
 from .reference import ApiReferenceList, Granularity, key_of
 
@@ -35,7 +43,7 @@ class FeatureVector:
     reference_fingerprint: str
 
     def __post_init__(self):
-        if any(c < 0 for c in self.counts):
+        if min(self.counts, default=0) < 0:
             raise ValueError("feature counts must be non-negative")
 
     def total(self) -> int:
@@ -59,12 +67,33 @@ def _dex_keys(dex: DexFile, g: Granularity) -> Iterator[tuple[str | None, int]]:
         yield key_of(class_path_of(dex.type_names[class_idx]), dex.string(name_idx), g), n
 
 
+def _vector(targets: dict[tuple[str, str], int], ref: ApiReferenceList) -> FeatureVector:
+    """The vector over ``ref`` of the occurrences of each (class path, name)."""
+    counts, g = [0] * len(ref), ref.granularity
+    _add(counts, ((key_of(*t, g), n) for t, n in targets.items()), ref)
+    return FeatureVector(tuple(counts), ref.fingerprint)
+
+
 def extract_features(invokes: Iterable[InvokeSite], ref: ApiReferenceList) -> FeatureVector:
     """Count invoke targets against the reference list (zero vector if empty)."""
-    counts = [0] * len(ref)
-    targets = Counter((s.target.class_path, s.target.name) for s in invokes)
-    _add(counts, ((key_of(*t, ref.granularity), n) for t, n in targets.items()), ref)
-    return FeatureVector(tuple(counts), ref.fingerprint)
+    return _vector(Counter((s.target.class_path, s.target.name) for s in invokes), ref)
+
+
+def _list_targets(path) -> tuple[dict, dict]:
+    """Occurrences of each (class path, name) of an invoke-list file: of every
+    call, and of the calls made from platform classes."""
+    every: dict[tuple[str, str], int] = {}
+    platform: dict[tuple[str, str], int] = {}
+    user_of: dict[str, bool] = {}
+    for caller, class_path, name, n in count_invoke_list(path):
+        target = class_path, name
+        every[target] = every.get(target, 0) + n
+        user = user_of.get(caller)
+        if user is None:
+            user = user_of[caller] = is_user_implemented(caller)
+        if not user:
+            platform[target] = platform.get(target, 0) + n
+    return every, platform
 
 
 def features_from_dex_blobs(
@@ -88,7 +117,7 @@ def is_invoke_list_path(path) -> bool:
 def extract_from_sample(path, ref: ApiReferenceList, strict: bool = False) -> FeatureVector:
     """Extract from an apk, or from an invoke-list fixture (by file suffix)."""
     if is_invoke_list_path(path):
-        return extract_features(load_invoke_list_text(path), ref)
+        return _vector(_list_targets(path)[0], ref)
     return features_from_dex_blobs(open_apk(path).dex_blobs, ref, strict=strict)
 
 
@@ -101,8 +130,8 @@ def caller_split(path, ref: ApiReferenceList) -> tuple[FeatureVector, FeatureVec
     """extract_from_sample and platform_features of one sample, read once: an
     apk's dex files are counted again through a view of their platform classes."""
     if is_invoke_list_path(path):
-        sites = load_invoke_list_text(path)
-        return extract_features(sites, ref), platform_features(sites, ref)
+        every, platform = _list_targets(path)
+        return _vector(every, ref), _vector(platform, ref)
     g, every, platform = ref.granularity, [0] * len(ref), [0] * len(ref)
     for blob in open_apk(path).dex_blobs:
         dex = parse_dex(blob)

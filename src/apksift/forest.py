@@ -549,8 +549,11 @@ def _check_vector(model: RandomForestModel, fv: FeatureVector) -> None:
 def _prefix_means(trees: Sequence[Tree], rows: list, sizes: Sequence[int]) -> np.ndarray:
     """[i, j]: row i's mean leaf class distribution over the first sizes[j]
     trees, by a cumsum over trees that adds its leaves in tree order."""
-    leaves = np.array([[_walk(tree, x)[1:] for tree in trees] for x in rows])
-    leaves = leaves.reshape(len(rows), len(trees), N_CLASSES)  # also for no rows
+    flat: list[float] = []  # row-major (row, tree, class), one flat np.array
+    for x in rows:
+        for tree in trees:
+            flat += _walk(tree, x)[1:]
+    leaves = np.array(flat).reshape(len(rows), len(trees), N_CLASSES)  # also for no rows
     return leaves.cumsum(axis=1)[:, [v - 1 for v in sizes]] / np.array(sizes)[:, None]
 
 

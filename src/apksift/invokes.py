@@ -8,8 +8,22 @@ obfuscation simulator and the synthetic corpus: one call site per line,
 with ``kind`` one of the five invoke mnemonics (optionally suffixed
 ``/range``), the caller as an ``L<path>;`` descriptor (``L;`` for an unknown
 caller) and the target in smali convention
-``L<class>;-><name>(<params>)<ret>``. ``#`` comments and blank lines are
-ignored.
+``L<class>;-><name>(<params>)<ret>``. Files are UTF-8 (a leading BOM is
+skipped), lines are numbered as ``str.splitlines`` splits them, and after
+stripping, ``#`` comments and blank lines are ignored.
+
+The line grammar has one owner, ``split_invoke_line``; a bad line is a
+MalformedLine naming the first bad line of the file (for a file that is not
+UTF-8, the line of its first bad byte). Two readers sit on it:
+
+* ``count_invoke_list`` is the feature path (``features.extract_from_sample``
+  and ``caller_split``): it counts a file's stripped lines with one Counter
+  and validates each distinct line once, in first-occurrence order, so the
+  first bad distinct line is the file's first bad line. It builds no
+  InvokeSite or MethodRef, and looks a bad line's number up only then.
+* ``loads_invoke_list`` and ``load_invoke_list_text`` build one InvokeSite
+  per line, for the stub profiles (``obfuscation.load_stub_profile`` and
+  ``eval-obfuscation --stub``) and for the tests, whose oracle they are.
 
 How a type descriptor names a class has one owner: ``class_path_of``.
 """
@@ -17,8 +31,9 @@ How a type descriptor names a class has one owner: ``class_path_of``.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import MalformedLine
 
@@ -84,39 +99,34 @@ class InvokeSite:
     target: MethodRef
 
 
-def parse_target_signature(sig: str) -> MethodRef:
-    """Parse ``L<class>;-><name>(<params>)<ret>`` into a MethodRef."""
+def split_invoke_line(line: str) -> tuple[InvokeKind, str, str, str, str]:
+    """(kind, caller path, class path, name, descriptor) of one stripped line:
+    the one owner of the line grammar. Raises ValueError naming the fault."""
+    parts = line.split(" ")
+    if len(parts) != 3:
+        raise ValueError("expected '<kind> <caller> <target>' with single spaces")
+    token, caller, sig = parts
+    kind = _KIND_BY_TOKEN.get(token)
+    if kind is None:
+        raise ValueError(f"unknown invoke kind {token!r}")
+    if not (caller.startswith("L") and caller.endswith(";")):
+        raise ValueError(f"caller must be an L<path>; descriptor: {caller!r}")
     if not sig.startswith("L"):
         raise ValueError(f"target must start with 'L': {sig!r}")
     sep = sig.find(";->")
     if sep < 0:
         raise ValueError(f"target lacks ';->': {sig!r}")
-    class_path = sig[1:sep]
-    rest = sig[sep + 3 :]
-    paren = rest.find("(")
-    if paren <= 0 or ")" not in rest:
+    paren = sig.find("(", sep + 3)
+    if paren <= sep + 3 or sig.find(")", sep + 3) < 0:
         raise ValueError(f"target lacks a descriptor: {sig!r}")
-    name = rest[:paren]
-    descriptor = rest[paren:]
-    if not class_path or not name:
+    if sep == 1:
         raise ValueError(f"empty class or method name: {sig!r}")
-    return MethodRef(class_path, name, descriptor)
-
-
-def _parse_caller(field: str) -> str:
-    if not (field.startswith("L") and field.endswith(";")):
-        raise ValueError(f"caller must be an L<path>; descriptor: {field!r}")
-    return field[1:-1]
+    return kind, caller[1:-1], sig[1:sep], sig[sep + 3 : paren], sig[paren:]
 
 
 def parse_invoke_line(line: str) -> InvokeSite:
-    parts = line.split(" ")
-    if len(parts) != 3:
-        raise ValueError("expected '<kind> <caller> <target>' with single spaces")
-    kind = _KIND_BY_TOKEN.get(parts[0])
-    if kind is None:
-        raise ValueError(f"unknown invoke kind {parts[0]!r}")
-    return InvokeSite(kind, _parse_caller(parts[1]), parse_target_signature(parts[2]))
+    kind, caller, class_path, name, descriptor = split_invoke_line(line)
+    return InvokeSite(kind, caller, MethodRef(class_path, name, descriptor))
 
 
 def format_invoke_site(site: InvokeSite) -> str:
@@ -140,17 +150,41 @@ def dumps_invoke_list(sites: Iterable[InvokeSite]) -> str:
     return "".join(format_invoke_site(s) + "\n" for s in sites)
 
 
-def load_invoke_list_text(path) -> list[InvokeSite]:
-    """Load a fixture file; raises MalformedLine naming the first bad line,
-    which for a file that is not UTF-8 is the line of its first bad byte."""
+def _read_invoke_text(path) -> str:
+    """A list file's text; a file that is not UTF-8 raises MalformedLine naming
+    the line of its first bad byte, numbered as str.splitlines numbers lines."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8-sig")
+        return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:  # exc.object and exc.start skip the BOM
-        line_no = exc.object.count(b"\n", 0, exc.start) + 1
-        raise MalformedLine(line_no, f"not UTF-8: {exc}") from None
-    return loads_invoke_list(text)
+        prefix = exc.object[: exc.start].decode("utf-8")
+        raise MalformedLine(len((prefix + "x").splitlines()), f"not UTF-8: {exc}") from None
+
+
+def load_invoke_list_text(path) -> list[InvokeSite]:
+    """Load a fixture file; raises MalformedLine naming the first bad line."""
+    return loads_invoke_list(_read_invoke_text(path))
+
+
+def count_invoke_list(path) -> Iterator[tuple[str, str, str, int]]:
+    """(caller path, class path, name, occurrences) of each distinct line of an
+    invoke-list file, in first-occurrence order, with no InvokeSite built.
+
+    Each distinct line is validated once. The first bad distinct line is the
+    file's first bad line, so MalformedLine names the line and message that
+    load_invoke_list_text names; its number is looked up only then.
+    """
+    raw = _read_invoke_text(path).splitlines()
+    for line, n in Counter(map(str.strip, raw)).items():
+        if not line or line[0] == "#":
+            continue
+        try:
+            _, caller, class_path, name, _ = split_invoke_line(line)
+        except ValueError as exc:
+            line_no = next(i for i, r in enumerate(raw, start=1) if r.strip() == line)
+            raise MalformedLine(line_no, str(exc)) from exc
+        yield caller, class_path, name, n
 
 
 def dump_invoke_list_text(sites: Iterable[InvokeSite], path) -> None:

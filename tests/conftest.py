@@ -297,11 +297,12 @@ def tracemalloc_peak(fn):
         tracemalloc.stop()
 
 
-def assert_peak_within_8x(peak: int, size: int, what: str) -> None:
-    """Fail unless ``peak`` bytes are at most 8x the ``size`` of the input;
-    print the share of that bound used, so -rP logs show the headroom."""
-    bound = 8 * size
-    print(f"peak {peak:,} bytes for a {size:,}-byte {what}: {peak / bound:.1%} of the 8x bound")
+def assert_peak_within_8x(peak: int, size: int, what: str, factor: int = 8) -> None:
+    """Fail unless ``peak`` bytes are at most ``factor`` (8 unless a caller
+    sets a tighter one) times the ``size`` of the input; print the share of
+    that bound used, so -rP logs show the headroom."""
+    bound = factor * size
+    print(f"peak {peak:,} bytes for a {size:,}-byte {what}: {peak / bound:.1%} of the {factor}x bound")
     assert peak <= bound, f"{peak:,} bytes for a {size:,}-byte {what}"
 
 

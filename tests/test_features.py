@@ -7,20 +7,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from apksift.errors import MalformedLine
 from apksift.features import (
     COUNT_CEILING,
     FeatureVector,
     _add,
+    caller_split,
     extract_features,
     extract_from_sample,
     features_from_dex_blobs,
+    platform_features,
     write_features_csv,
 )
 from apksift.dex import extract_invokes, parse_dex
+from apksift.invokes import InvokeKind, InvokeSite, format_invoke_site, loads_invoke_list
 from apksift.reference import Granularity, key_of, make_reference, project
 from apksift.synth import random_dex, write_apk
 
-from conftest import build_single_method_dex, invoke_lists
+from conftest import (
+    assert_peak_within_8x,
+    build_single_method_dex,
+    class_paths,
+    invoke_lists,
+    method_refs,
+    tracemalloc_peak,
+)
 
 
 @pytest.fixture
@@ -190,3 +201,111 @@ def test_write_features_csv_fingerprint_guard(tmp_path, crypto_sites, package_su
     fv = extract_features(crypto_sites, class_subset)
     with pytest.raises(ValueError):
         write_features_csv([("s1", "trusted", fv)], package_subset, tmp_path / "x.csv")
+
+
+# -- invoke lists: the per-distinct-line counter against the per-site oracle --
+
+# every line boundary of str.splitlines, which numbers the lines of a list
+_SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+_NOISE = ["", "   ", "# a comment", "  # an indented comment"]
+_BAD_LINES = [
+    "invoke-bogus La/B; Ljava/io/File;->delete()Z",
+    "invoke-virtual La/B;",
+    "invoke-virtual  La/B; Ljava/io/File;->delete()Z",
+    "invoke-virtual a/B Ljava/io/File;->delete()Z",
+    "invoke-virtual La/B; java/io/File;->delete()Z",
+    "invoke-virtual La/B; Ljava/io/File;delete()Z",
+    "invoke-virtual La/B; Ljava/io/File;->delete",
+    "invoke-virtual La/B; Ljava/io/File;->(Z)",
+    "invoke-virtual La/B; L;->delete()V",
+]
+_CALLERS = st.one_of(
+    st.sampled_from(["", "java/lang/Thread", "android/app/Activity", "com/app/Main"]), class_paths()
+)
+
+
+@st.composite
+def invoke_list_texts(draw, fault: bool):
+    """(text, BOM, pool): lines drawn from a small pool of sites, so many
+    repeat, some padded, mixed with blanks and comments and split by every
+    str.splitlines separator; with ``fault``, one bad line is injected (and may
+    repeat) after a prefix that may hold a copy of a good line."""
+    pool = draw(st.lists(
+        st.builds(InvokeSite, st.sampled_from(list(InvokeKind)), _CALLERS, method_refs()),
+        min_size=1, max_size=6,
+    ))
+    good = st.sampled_from(pool).map(format_invoke_site)
+    line = st.one_of(good, good.map(lambda t: f" \t{t}  "), st.sampled_from(_NOISE))
+    lines = draw(st.lists(line, max_size=30))
+    if fault:
+        bad = draw(st.sampled_from(_BAD_LINES))
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = [bad]
+        lines += draw(st.lists(st.sampled_from([bad, f"  {bad}", format_invoke_site(pool[0])]), max_size=3))
+    seps = draw(st.lists(st.sampled_from(_SEPARATORS), min_size=len(lines), max_size=len(lines)))
+    text = "".join(a + b for a, b in zip(lines, seps))
+    if lines and draw(st.booleans()):
+        text = text[: -len(seps[-1])]  # no line end after the last line
+    return text, draw(st.booleans()), pool
+
+
+def _refs(pool):
+    """The pool's targets as a reference list at every granularity, plus a key it never calls."""
+    keys = {key_of(s.target.class_path, s.target.name, Granularity.Method) for s in pool}
+    methods = make_reference(Granularity.Method, keys | {"java/lang/Object;->wait"})
+    return [methods, project(methods, Granularity.Class), project(methods, Granularity.Package)]
+
+
+@pytest.fixture(scope="module")
+def list_dir(tmp_path_factory):
+    """One directory for the drawn lists; hypothesis rejects tmp_path."""
+    return tmp_path_factory.mktemp("invoke-lists")
+
+
+def _write_list(directory, text: str, bom: bool):
+    path = directory / "list.txt"
+    path.write_bytes(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(invoke_list_texts(fault=False))
+def test_list_count_matches_the_per_site_oracle(list_dir, drawn):
+    text, bom, pool = drawn
+    path = _write_list(list_dir, text, bom)
+    sites = loads_invoke_list(text)
+    for ref in _refs(pool):
+        every = extract_features(sites, ref)
+        assert extract_from_sample(path, ref) == every
+        assert caller_split(path, ref) == (every, platform_features(sites, ref))
+
+
+@settings(max_examples=150, deadline=None)
+@given(invoke_list_texts(fault=True))
+def test_list_count_names_the_oracles_first_bad_line(list_dir, drawn):
+    text, bom, pool = drawn
+    path = _write_list(list_dir, text, bom)
+    with pytest.raises(MalformedLine) as oracle:
+        loads_invoke_list(text)
+    expected = (oracle.value.line_no, str(oracle.value))
+    ref = _refs(pool)[0]
+    for count in (extract_from_sample, caller_split):
+        with pytest.raises(MalformedLine) as exc:
+            count(path, ref)
+        assert (exc.value.line_no, str(exc.value)) == expected
+
+
+def test_invoke_list_memory_in_proportion_to_the_list(tmp_path):
+    """40,000 distinct lines, none repeated: the count holds each distinct
+    line and target once, and builds no InvokeSite, within 5x the file."""
+    path = tmp_path / "large.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(40_000):
+            fh.write(
+                f"invoke-virtual Lcom/example/app/ui/MainActivity{i % 97}; "
+                f"Ljava/io/FileInputStream{i // 97};->read{i}([BII)I\n"
+            )
+    ref = make_reference(Granularity.Method, ["java/io/FileInputStream1;->read100"])
+    fv, peak = tracemalloc_peak(lambda: extract_from_sample(path, ref))
+    assert fv.counts == (1,)
+    assert_peak_within_8x(peak, path.stat().st_size, "invoke list", factor=5)

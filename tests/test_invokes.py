@@ -8,6 +8,7 @@ from apksift.invokes import (
     InvokeKind,
     InvokeSite,
     MethodRef,
+    count_invoke_list,
     dumps_invoke_list,
     load_invoke_list_text,
     loads_invoke_list,
@@ -106,3 +107,39 @@ def test_file_round_trip(tmp_path):
 def test_io_failure(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_invoke_list_text(tmp_path / "missing.txt")
+
+
+GOOD = "invoke-virtual La/B; Ljava/io/File;->delete()Z"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["no-bom", "bom"])
+@pytest.mark.parametrize("sep", ["\n", "\r", "\r\n", "\x0c", "\u2028"], ids=repr)
+def test_not_utf8_line_numbered_as_the_grammar_numbers_lines(tmp_path, sep, bom):
+    """A bad byte on the third line is line 3 whatever separates the lines,
+    as a bad line there is."""
+    head = bom + (GOOD + sep + GOOD + sep).encode()
+    for third, message in ((b"\xff", "not UTF-8"), (b"invoke-bogus X Y", "unknown invoke kind")):
+        path = tmp_path / "list.txt"
+        path.write_bytes(head + third + sep.encode())
+        for load in (load_invoke_list_text, lambda p: list(count_invoke_list(p))):
+            with pytest.raises(MalformedLine, match=message) as exc:
+                load(path)
+            assert exc.value.line_no == 3
+
+
+def test_count_names_the_first_copy_of_a_repeated_bad_line(tmp_path):
+    path = tmp_path / "list.txt"
+    path.write_text(f"{GOOD}\ninvoke-bogus X Y\n{GOOD}\n  invoke-bogus X Y\n")
+    with pytest.raises(MalformedLine) as exc:
+        list(count_invoke_list(path))
+    assert (exc.value.line_no, str(exc.value)) == (2, "line 2: unknown invoke kind 'invoke-bogus'")
+
+
+def test_count_is_per_distinct_line_in_first_occurrence_order(tmp_path):
+    path = tmp_path / "list.txt"
+    other = "invoke-static/range Lx/Y; Ljava/lang/System;->exit(I)V"
+    path.write_text(f"# header\n{other}\n\n {GOOD}\n{GOOD}\r\n{other}\n{GOOD}\n")
+    assert list(count_invoke_list(path)) == [
+        ("x/Y", "java/lang/System", "exit", 2),
+        ("a/B", "java/io/File", "delete", 3),
+    ]
